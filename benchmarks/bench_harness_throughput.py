@@ -84,7 +84,7 @@ _BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_harness.json"
 
 def _record_baseline(**updates):
     """Read-modify-write the committed baseline file, so the vectorize
-    and hedging recorders can each refresh their own keys."""
+    and dispatch recorders can each refresh their own keys."""
     doc = {}
     if _BASELINE_PATH.exists():
         doc = json.loads(_BASELINE_PATH.read_text())
@@ -186,63 +186,6 @@ def test_vectorize_speedup_meets_baseline():
         # per-case floor: a lowering that stops firing shows up as ~1.0x
         assert speedup >= 1.5, \
             f"{case}: {speedup:.2f}x — did the bulk lowering stop firing?"
-
-
-# -- guard supervision: straggler hedging --------------------------------------
-
-def _hedged_pass(llm, bench, hedging):
-    from repro.guard import GuardPolicy
-
-    return evaluate_model(llm, bench, num_samples=6, temperature=0.2,
-                          with_timing=True, seed=21, jobs=2,
-                          guard=GuardPolicy(hedge=hedging))
-
-
-@pytest.mark.parametrize("hedging", [False, True],
-                         ids=["hedge-off", "hedge-on"])
-def test_scheduler_hedging_throughput(benchmark, hedging):
-    """Full scheduled pass with straggler hedging on vs off — the axis
-    behind the committed hedging-overhead baseline."""
-    llm, bench = _sched_workload()
-    run = benchmark.pedantic(_hedged_pass, args=(llm, bench, hedging),
-                             rounds=2, iterations=1, warmup_rounds=0)
-    assert len(run.prompts) == len(bench.prompts)
-
-
-def test_hedging_overhead_meets_baseline():
-    """The acceptance check for hedging: byte-identical output, and the
-    hedged pass stays within 25% of the unhedged pass when nothing
-    straggles (speculation only spends otherwise-idle workers).
-
-    Re-record after a deliberate change with::
-
-        REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest \
-            benchmarks/bench_harness_throughput.py -k hedging_overhead
-    """
-    llm, bench = _sched_workload()
-    _hedged_pass(llm, bench, hedging=False)     # warm compile/solutions
-    best = {}
-    runs = {}
-    for hedging in (False, True):
-        best[hedging] = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            runs[hedging] = _hedged_pass(llm, bench, hedging)
-            best[hedging] = min(best[hedging], time.perf_counter() - t0)
-    overhead = best[True] / best[False]
-    print(f"\nhedging: off {best[False]:.2f}s vs on {best[True]:.2f}s "
-          f"({overhead - 1.0:+.1%})")
-    assert runs[True].to_json() == runs[False].to_json()
-    if os.environ.get("REPRO_BENCH_RECORD"):
-        _record_baseline(hedging={
-            "comment": "wall-clock ratio of a hedged jobs=2 pass over "
-                       "an unhedged one; ~1.0 when nothing straggles",
-            "jobs": 2, "overhead": round(overhead, 3)})
-        return
-    baseline = json.loads(_BASELINE_PATH.read_text())["hedging"]
-    assert overhead < max(1.25, baseline["overhead"] * 1.2), (
-        f"hedging overhead {overhead:.2f}x regressed past the recorded "
-        f"{baseline['overhead']:.2f}x")
 
 
 # -- MiniParSan pre-execution screen -------------------------------------------

@@ -39,7 +39,7 @@ Commands
     ``docs/resilience.md``): same seed replays the same faults, a
     fault-free injector is byte-for-byte transparent, the scheduler
     survives worker kills and corrupted results, a kill at every journal
-    index resumes exactly, and the guard layer (quarantine, hedging,
+    index resumes exactly, and the guard layer (quarantine and
     whole-process SIGKILL recovery) preserves exactness.
     ``--invariant NAME`` runs one invariant (the CI ``chaos-guard`` job
     uses ``--invariant guard-resilience``); ``--plan`` instead prints
@@ -53,15 +53,12 @@ every sample runs dynamically, as before the linter existed).
 ``eval`` and ``figures`` accept ``--jobs N`` to run the harness on the
 :mod:`repro.sched` worker pool and ``--resume`` to continue an
 interrupted pass from its JSONL journal (see ``docs/scheduler.md``).
-``eval``/``figures``/``serve`` accept ``--no-hedge`` to disable the
-guard layer's speculative straggler duplication (``docs/resilience.md``;
-output is byte-identical either way).
 
-``eval --dispatch {lpt,fifo,random}`` picks the scheduler's ready-queue
+``eval --dispatch {lpt,fifo}`` picks the scheduler's ready-queue
 policy and ``serve --dispatch {lpt,fifo}`` toggles cost-balanced shard
 partitions + the work-stealing board (``docs/scheduler.md``): ``lpt``
 dispatches longest-predicted-first from the durable duration ledger to
-cut makespan on skewed workloads; every policy produces byte-identical
+cut makespan on skewed workloads; both policies produce byte-identical
 output.
 """
 
@@ -122,10 +119,6 @@ def _sched_kwargs(args: argparse.Namespace, llm_name: str,
         "events": ProgressPrinter(
             lambda line: print(line, file=sys.stderr)),
     }
-    if not getattr(args, "hedge", True):
-        from .guard import GuardPolicy
-
-        kwargs["guard"] = GuardPolicy(hedge=False)
     return kwargs
 
 
@@ -396,7 +389,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             jobs_per_shard=args.jobs, max_queue=args.queue,
             batch_window=args.batch_window, max_batch=args.max_batch,
             batching=args.batching, vectorize=args.vectorize,
-            hedging=args.hedge, retry_after_cap=args.retry_after_cap,
+            retry_after_cap=args.retry_after_cap,
             dispatch=args.dispatch)
 
     if args.smoke:
@@ -501,18 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "prints the lost-cycles table")
     p.add_argument("--jobs", "-j", type=_positive_int, default=1,
                    help="worker processes for the evaluation scheduler")
-    p.add_argument("--dispatch", default="lpt",
-                   choices=["lpt", "fifo", "random"],
+    p.add_argument("--dispatch", default="lpt", choices=["lpt", "fifo"],
                    help="ready-queue policy: lpt = longest-predicted-"
                         "first from the duration ledger (default), fifo "
-                        "= plan order, random = seeded shuffle "
-                        "(byte-identical output under every policy)")
+                        "= plan order (byte-identical output under both)")
     p.add_argument("--resume", action="store_true",
                    help="resume an interrupted run from its journal")
-    p.add_argument("--no-hedge", dest="hedge", action="store_false",
-                   help="disable speculative straggler duplication "
-                        "(results are byte-identical; only slower on "
-                        "straggling tasks)")
     p.add_argument("--no-static-screen", dest="static_screen",
                    action="store_false",
                    help="disable the MiniParSan pre-execution screen")
@@ -547,9 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the evaluation scheduler")
     p.add_argument("--resume", action="store_true",
                    help="resume interrupted evaluation passes")
-    p.add_argument("--no-hedge", dest="hedge", action="store_false",
-                   help="disable speculative straggler duplication "
-                        "(byte-identical output)")
     p.add_argument("--no-static-screen", dest="static_screen",
                    action="store_false",
                    help="disable the MiniParSan pre-execution screen")
@@ -586,9 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max requests coalesced into one batch")
     p.add_argument("--no-batching", dest="batching", action="store_false",
                    help="execute every request as its own batch")
-    p.add_argument("--no-hedge", dest="hedge", action="store_false",
-                   help="disable speculative straggler duplication in the "
-                        "shard pools (byte-identical output)")
     p.add_argument("--retry-after-cap", type=float, default=60.0,
                    help="ceiling on the Retry-After hint sent with 429 "
                         "rejections, seconds")

@@ -37,16 +37,15 @@ properties as executable checks over a small fixed benchmark slice
    ``EvalRun`` JSON — faults land at the same points regardless of which
    tier executes the loops between them.
 8. **guard-resilience** — the self-healing supervision layer
-   (``repro.guard``) preserves exactness: an aggressive straggler-hedging
-   policy (with injected first-arrival losses) reproduces the serial run
-   byte for byte; a task that kills every worker it touches lands in the
-   ``quarantined`` lane exactly once, deterministically across runs; and
-   SIGKILLing the whole scheduler process at event boundaries
-   (``guard.process.kill``) resumes to the reference digest.
+   (``repro.guard``) preserves exactness: a task that kills every worker
+   it touches lands in the ``quarantined`` lane exactly once,
+   deterministically across runs; and SIGKILLing the whole scheduler
+   process at event boundaries (``guard.process.kill``) resumes to the
+   reference digest.
 9. **dispatch-resilience** — cost-predictive dispatch
-   (``repro.sched.predict``) is throughput policy only: every dispatch
-   policy (``lpt``/``fifo``/``random``) reproduces the serial reference
-   byte for byte, and a warm duration ledger composed with shard deaths
+   (``repro.sched.predict``) is throughput policy only: both dispatch
+   policies (``lpt``/``fifo``) reproduce the serial reference byte for
+   byte, and a warm duration ledger composed with shard deaths
    and worker kills inside the service (LPT shard balancing + the
    work-stealing board under ``serve.shard.die``) still serves the
    byte-identical run.
@@ -352,16 +351,11 @@ def check_guard_resilience(workdir: Union[str, Path],
                            jobs: int = 2,
                            log: Optional[Callable[[str], None]] = None
                            ) -> ChaosReport:
-    """The guard layer (quarantine, hedging, crash-only recovery)
-    preserves exactness under maximum supervision pressure.
+    """The guard layer (quarantine, crash-only recovery) preserves
+    exactness under maximum supervision pressure.
 
-    Three sub-properties, each non-vacuous by construction:
+    Two sub-properties, each non-vacuous by construction:
 
-    * **hedging transparency** — an aggressive policy (every completed
-      task re-arms the straggler cut at zero seconds) composed with
-      injected first-arrival losses (``guard.hedge.lose``) must produce
-      an ``EvalRun`` byte-identical to the serial reference: speculation
-      is throughput policy, never content policy.
     * **poison determinism** — a kill rule pinned to one sample task's
       every attempt makes that task slaughter workers until the health
       ledger quarantines it.  Two such runs must be byte-identical, the
@@ -374,29 +368,15 @@ def check_guard_resilience(workdir: Union[str, Path],
       :func:`repro.guard.run_supervised`) and resuming from the journal
       reproduces the unkilled reference digest every time.
     """
-    from ..guard import GuardPolicy, crash_resume_sweep
+    from ..guard import crash_resume_sweep
     from ..harness.runner import Runner
     from ..metrics import prompt_pass_at_k
     from ..sched.plan import KIND_SAMPLE, build_plan
 
     llm, bench = chaos_slice()
     emit = log or (lambda line: None)
-    reference = _eval(llm, bench)
 
-    # (a) aggressive hedging + injected first-arrival losses
-    emit("  guard: hedging transparency ...")
-    eager = GuardPolicy(hedge_multiplier=0.0, hedge_min_completed=1,
-                        hedge_min_seconds=0.0)
-    lose_plan = FaultPlan(rules=(
-        FaultRule(point="guard.hedge.lose", action="lose"),), seed=0)
-    with injector(lose_plan):
-        hedged = _eval(llm, bench, jobs=jobs, guard=eager)
-    if hedged.to_json() != reference.to_json():
-        return ChaosReport("guard-resilience", False,
-                           "aggressive hedging (with injected hedge "
-                           "losses) perturbed the EvalRun")
-
-    # (b) a poison task is quarantined exactly once, deterministically
+    # (a) a poison task is quarantined exactly once, deterministically
     emit("  guard: poison-task quarantine ...")
     plan_obj = build_plan(llm, bench, CHAOS_SAMPLES, 0.2, False, Runner(),
                           CHAOS_SEED)
@@ -433,7 +413,7 @@ def check_guard_resilience(workdir: Union[str, Path],
                            "quarantined samples leaked into the pass@1 "
                            "denominator")
 
-    # (c) whole-process SIGKILL at sampled event boundaries, then resume
+    # (b) whole-process SIGKILL at sampled event boundaries, then resume
     emit("  guard: crash-only recovery ...")
     sweep_dir = Path(workdir) / "supervised"
     probe = crash_resume_sweep(llm, bench, workdir=sweep_dir,
@@ -458,7 +438,7 @@ def check_guard_resilience(workdir: Union[str, Path],
                            "invariant is vacuous")
     return ChaosReport(
         "guard-resilience", True,
-        f"hedged run byte-identical; poison task quarantined exactly once "
+        "poison task quarantined exactly once "
         f"across {len(victim_slots)} slot(s) in both runs; "
         f"{sweep['checked']} whole-process SIGKILLs "
         f"({sweep['restarts']} restarts) all resumed to the reference "
@@ -472,10 +452,10 @@ def check_dispatch_resilience(workdir: Union[str, Path],
 
     Two sub-properties:
 
-    * **policy transparency** — the scheduler under every dispatch
-      policy (``lpt``, ``fifo``, ``random``) reproduces the serial
-      reference byte for byte: the ready-queue order and the duration
-      predictions behind it cannot leak into the ``EvalRun``.
+    * **policy transparency** — the scheduler under both dispatch
+      policies (``lpt``, ``fifo``) reproduces the serial reference byte
+      for byte: the ready-queue order and the duration predictions
+      behind it cannot leak into the ``EvalRun``.
     * **warm-ledger survivability** — a ledger warmed by a prior run
       drives LPT shard balancing and the work-stealing board inside the
       service while every task's first worker attempt is killed and
@@ -493,8 +473,8 @@ def check_dispatch_resilience(workdir: Union[str, Path],
     llm, bench = chaos_slice()
     reference = _eval(llm, bench)
 
-    # (a) every policy is byte-transparent
-    for policy in ("lpt", "fifo", "random"):
+    # (a) both policies are byte-transparent
+    for policy in ("lpt", "fifo"):
         run = _eval(llm, bench, jobs=jobs, dispatch=policy)
         if run.to_json() != reference.to_json():
             return ChaosReport(
@@ -549,7 +529,7 @@ def check_dispatch_resilience(workdir: Union[str, Path],
                            "vacuous")
     return ChaosReport(
         "dispatch-resilience", True,
-        "all three dispatch policies byte-identical; warm-ledger LPT "
+        "both dispatch policies byte-identical; warm-ledger LPT "
         f"serving survived {snap['shard_restarts']} shard death(s) with "
         f"{snap['ledger_predictions']} ledger-predicted tasks "
         f"(hit rate {snap['ledger_hit_rate']:.2f}, MAE "

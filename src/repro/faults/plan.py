@@ -87,11 +87,6 @@ INJECTION_POINTS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "simulate ENOSPC on one sample-cache snapshot write; the cache "
         "must degrade to a future miss (recompute) instead of corrupting "
         "or crashing the run"),
-    "guard.hedge.lose": (
-        "guard", ("lose",),
-        "discard the first-arriving result of a hedged task while its "
-        "duplicate is still in flight, forcing the duplicate to win — "
-        "proves first-writer-wins arbitration is content-deterministic"),
 }
 
 #: layer name -> points, for layer-filtered plan generation

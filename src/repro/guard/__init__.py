@@ -1,6 +1,6 @@
 """repro.guard — self-healing supervision for scheduled evaluation.
 
-Four mechanisms, threaded through :mod:`repro.sched` and
+Three mechanisms, threaded through :mod:`repro.sched` and
 :mod:`repro.serve`, all bound by the same exactness discipline as the
 vectorized tier: *none of them may change a single byte of the
 assembled* :class:`~repro.harness.evaluate.EvalRun` *relative to an
@@ -11,9 +11,6 @@ report a task the infrastructure refuses to keep executing.
   task: a task that kills ``poison_threshold`` *distinct* workers is
   poison, not unlucky, and is quarantined instead of burning the retry
   budget forever.
-* :class:`HedgeBook` (``hedge``) — straggler detection: a task running
-  past ``quantile(completed) * multiplier`` gets a speculative duplicate
-  on an idle worker; first writer wins deterministically.
 * :class:`CircuitBreaker` / :class:`BreakerBoard` (``breaker``) —
   per-shard breakers for :mod:`repro.serve`: consecutive shard failures
   trip a breaker, work routes to surviving shards, and a count-based
@@ -42,7 +39,6 @@ from .health import (
     VERDICT_POISON,
     VERDICT_TRANSIENT,
 )
-from .hedge import HedgeBook, duration_quantile
 from .supervisor import SupervisedResult, crash_resume_sweep, run_supervised
 
 __all__ = [
@@ -51,7 +47,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "GuardPolicy",
     "HealthLedger",
-    "HedgeBook",
     "STATE_CLOSED",
     "STATE_HALF_OPEN",
     "STATE_OPEN",
@@ -59,6 +54,5 @@ __all__ = [
     "VERDICT_POISON",
     "VERDICT_TRANSIENT",
     "crash_resume_sweep",
-    "duration_quantile",
     "run_supervised",
 ]

@@ -42,18 +42,6 @@ class GuardPolicy:
     quarantine: bool = True
     #: distinct workers a task must kill to be classified poison
     poison_threshold: int = 2
-    #: speculatively duplicate straggling tasks onto idle workers
-    hedge: bool = True
-    #: quantile of completed-task wall times the straggler cut is based on
-    hedge_quantile: float = 0.95
-    #: a task is a straggler after quantile * multiplier seconds
-    hedge_multiplier: float = 3.0
-    #: completed tasks needed before the quantile is trusted
-    hedge_min_completed: int = 4
-    #: floor on the straggler cut — never hedge sub-floor tasks
-    hedge_min_seconds: float = 0.25
-    #: duplicates ever launched per task (1 = at most one hedge)
-    max_hedges_per_task: int = 1
 
 
 DEFAULT_POLICY = GuardPolicy()

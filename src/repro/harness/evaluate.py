@@ -200,33 +200,27 @@ def evaluate_model(
     sample_cache: Optional[str] = None,
     events: Optional[Callable[[object], None]] = None,
     profile: bool = False,
-    guard: Optional[object] = None,
     dispatch: Optional[str] = None,
 ) -> EvalRun:
     """Run the full §7 pipeline for one model over ``bench``.
 
     ``jobs=1`` (default) keeps the original serial loop.  ``jobs>1`` —
-    or any of ``journal``/``resume``/``sample_cache``/``events``/
-    ``guard`` — routes through :mod:`repro.sched`: the same pipeline
+    or any of ``journal``/``resume``/``sample_cache``/``events`` —
+    routes through :mod:`repro.sched`: the same pipeline
     decomposed into ``(prompt, sample)`` tasks on a fault-isolated
     worker pool, with JSONL checkpointing (``journal`` +
     ``resume=True``) and a content-addressed cross-run sample cache.
     Both paths assemble byte-identical :class:`EvalRun` objects.
 
-    ``guard`` is a :class:`repro.guard.GuardPolicy` tuning the
-    self-healing supervision (poison-task quarantine, straggler
-    hedging); ``None`` uses the defaults.  Guard mechanisms never
-    change the assembled run's bytes — only how it survives faults.
-
     ``profile=True`` (timing runs only) additionally records a
     cost-decomposed :mod:`repro.prof` profile on every timed sample.
 
-    ``dispatch`` selects the scheduler's ready-queue policy (``"lpt"``,
-    ``"fifo"``, ``"random"`` — see :mod:`repro.sched.predict`); setting
-    it routes through the scheduler even at ``jobs=1``.  ``None`` leaves
+    ``dispatch`` selects the scheduler's ready-queue policy (``"lpt"``
+    or ``"fifo"`` — see :mod:`repro.sched.predict`); setting it routes
+    through the scheduler even at ``jobs=1``.  ``None`` leaves
     the scheduler default (``"lpt"``) in effect.  Dispatch order is
     throughput policy only: the assembled run is byte-identical under
-    every policy.
+    either policy.
     """
     if profile and not with_timing:
         raise ConfigurationError("profile=True requires with_timing=True")
@@ -235,8 +229,7 @@ def evaluate_model(
     if resume and journal is None:
         raise ConfigurationError("resume=True requires a journal path")
     if (jobs > 1 or journal is not None or sample_cache is not None
-            or events is not None or guard is not None
-            or dispatch is not None):
+            or events is not None or dispatch is not None):
         from ..sched.scheduler import run_scheduled
 
         run, _ = run_scheduled(
@@ -244,7 +237,7 @@ def evaluate_model(
             with_timing=with_timing, runner=runner, seed=seed, jobs=jobs,
             journal_path=journal, resume=resume,
             sample_cache_dir=sample_cache, emit=events, progress=progress,
-            profile=profile, guard=guard,
+            profile=profile,
             dispatch=dispatch if dispatch is not None else "lpt")
         return run
     runner = runner or Runner()

@@ -168,6 +168,16 @@ def _compile_checked(source: str, model: str):
 
 def _compile_checked_uncached(source: str, model: str):
     try:
+        return _compile_stages(source, model)
+    except RecursionError:
+        # the recursive-descent front end and the AST walkers after it
+        # share Python's stack; pathological nesting is a build error
+        return (None, None,
+                "compile error: program too deeply nested to analyze")
+
+
+def _compile_stages(source: str, model: str):
+    try:
         checked = compile_source(source)
     except CompileError as exc:
         return None, None, f"compile error: {exc}"

@@ -24,7 +24,6 @@ from .events import (
     SchedulerAbort,
     StageFinished,
     TaskFinished,
-    TaskHedged,
     TaskStarted,
     Telemetry,
     WorkerCrashed,
@@ -53,7 +52,6 @@ from .predict import (
     DISPATCH_FIFO,
     DISPATCH_LPT,
     DISPATCH_POLICIES,
-    DISPATCH_RANDOM,
     DurationLedger,
     PRED_ESTIMATOR,
     PRED_LEDGER,
@@ -78,7 +76,7 @@ __all__ = [
     # journal
     "Journal", "SampleCache", "journal_path_for",
     # events
-    "Telemetry", "TaskStarted", "TaskFinished", "TaskHedged",
+    "Telemetry", "TaskStarted", "TaskFinished",
     "WorkerCrashed", "WorkerReplaced", "ProgressSnapshot", "StageFinished",
     "RunFinished", "ProgressPrinter", "SchedulerAbort", "chain",
     "SOURCE_EXECUTED", "SOURCE_JOURNAL", "SOURCE_CACHE", "SOURCE_FAILED",
@@ -86,7 +84,7 @@ __all__ = [
     # cost-predictive dispatch
     "CostEstimator", "DurationLedger", "feature_key", "ledger_path_for",
     "order_tasks", "plan_keys", "predict_plan",
-    "DISPATCH_LPT", "DISPATCH_FIFO", "DISPATCH_RANDOM", "DISPATCH_POLICIES",
+    "DISPATCH_LPT", "DISPATCH_FIFO", "DISPATCH_POLICIES",
     "PRED_LEDGER", "PRED_ESTIMATOR",
     # orchestration
     "run_scheduled", "TRANSIENT_STATUSES",

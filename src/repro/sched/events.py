@@ -51,10 +51,6 @@ class TaskFinished:
     #: task's compile-cache delta (compile_cache_hits / _misses).  Only
     #: executed tasks carry them — replays describe work already counted.
     counters: Dict[str, int] = field(default_factory=dict)
-    #: True when the accepted result came from a speculative hedge
-    #: dispatch rather than the primary one (telemetry only — the bytes
-    #: of the result are identical either way)
-    hedged: bool = False
     #: cost prediction the dispatcher held for this task (0.0 when no
     #: prediction existed) and its provenance: "ledger" (seconds, from
     #: observed history) or "estimator" (arbitrary units, static
@@ -62,20 +58,6 @@ class TaskFinished:
     #: dispatched.  See :mod:`repro.sched.predict`.
     predicted: float = 0.0
     predicted_source: str = ""
-
-
-@dataclass(frozen=True)
-class TaskHedged:
-    """A straggling task got a speculative duplicate on an idle worker."""
-
-    task_id: str
-    kind: str
-    #: worker currently running the straggling primary copy
-    worker: int
-    #: seconds the primary had been running when the hedge launched
-    elapsed: float
-    #: straggler cut (quantile * multiplier) that triggered the hedge
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -175,10 +157,8 @@ class Telemetry:
     retries: int = 0
     workers: int = 0
     wall_seconds: float = 0.0
-    #: speculative duplicates launched for straggling tasks, and how
-    #: many accepted results came from such a duplicate
+    #: always 0: kept only because the pipeline benchmark reads it
     hedges: int = 0
-    hedge_wins: int = 0
     #: vectorized-tier counters summed over executed tasks
     vec_bulk_loops: int = 0
     vec_bulk_iters: int = 0
@@ -212,8 +192,6 @@ class Telemetry:
             self.busy_seconds += event.duration
             self.retries += max(0, event.attempts - 1)
             self.diagnostics += event.diagnostics
-            if event.hedged:
-                self.hedge_wins += 1
             c = event.counters
             self.vec_bulk_loops += c.get("vec_bulk_loops", 0)
             self.vec_bulk_iters += c.get("vec_bulk_iters", 0)
@@ -228,8 +206,6 @@ class Telemetry:
                         event.duration - event.predicted)
                 elif event.predicted_source == "estimator":
                     self.estimator_predictions += 1
-        elif isinstance(event, TaskHedged):
-            self.hedges += 1
         elif isinstance(event, WorkerCrashed):
             self.crashes += 1
             if event.kind == "timeout":
@@ -257,8 +233,6 @@ class Telemetry:
         self.crashes += other.crashes
         self.infra_timeouts += other.infra_timeouts
         self.retries += other.retries
-        self.hedges += other.hedges
-        self.hedge_wins += other.hedge_wins
         self.vec_bulk_loops += other.vec_bulk_loops
         self.vec_bulk_iters += other.vec_bulk_iters
         self.vec_fallbacks += other.vec_fallbacks

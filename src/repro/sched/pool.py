@@ -21,11 +21,6 @@ Fault model (the part a naive ``multiprocessing.Pool`` gets wrong):
   (the task, not the machine, is what kills workers) and is moved to the
   ``quarantined`` lane by the :class:`~repro.guard.health.HealthLedger`
   instead of burning budget forever;
-* a task running far past the completed-task time distribution is a
-  **straggler** and gets a speculative duplicate on an idle worker
-  (:class:`~repro.guard.hedge.HedgeBook`); the first result to arrive
-  wins and later copies are discarded — byte-identical either way,
-  because every copy computes identical judged content;
 * repeated crashes trip a circuit breaker (``max_crashes``) that fails
   the remaining tasks instead of respawning forever.
 
@@ -46,11 +41,10 @@ import os
 import queue as stdlib_queue
 import time
 from collections import deque
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..faults import inject
 from ..guard.health import GuardPolicy, HealthLedger, VERDICT_POISON
-from ..guard.hedge import HedgeBook
 from .events import (
     EmitFn,
     ProgressSnapshot,
@@ -59,7 +53,6 @@ from .events import (
     SOURCE_QUARANTINED,
     SchedulerAbort,
     TaskFinished,
-    TaskHedged,
     TaskStarted,
     WorkerCrashed,
     WorkerReplaced,
@@ -118,7 +111,7 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
         ctx = init_fn(*init_args) if init_fn is not None else init_args
     except BaseException as exc:  # noqa: BLE001 - must never escape
         result_q.put(("init_error", worker_id, None,
-                      f"{type(exc).__name__}: {exc}", 0.0, 0))
+                      f"{type(exc).__name__}: {exc}", 0.0))
         return
     while True:
         try:
@@ -128,10 +121,10 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
                 os._exit(0)         # orphaned: the scheduler was killed
             continue
         if item is None:
-            result_q.put(("bye", worker_id, None, None, 0.0, 0))
+            result_q.put(("bye", worker_id, None, None, 0.0))
             return
         task_id, attempt, payload = item
-        result_q.put(("start", worker_id, task_id, None, 0.0, attempt))
+        result_q.put(("start", worker_id, task_id, None, 0.0))
         if inject.ACTIVE is not None:
             # fork-inherited injector: keys carry the attempt index so a
             # kill rule matching "#a0" takes down only the first dispatch
@@ -146,10 +139,10 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
         except BaseException as exc:  # noqa: BLE001 - fault isolation
             result_q.put(("fail", worker_id, task_id,
                           f"{type(exc).__name__}: {exc}",
-                          time.perf_counter() - began, attempt))
+                          time.perf_counter() - began))
         else:
             result_q.put(("done", worker_id, task_id, result,
-                          time.perf_counter() - began, attempt))
+                          time.perf_counter() - began))
 
 
 class WorkerPool:
@@ -183,7 +176,7 @@ class WorkerPool:
         self.emit = emit or (lambda event: None)
         self.max_crashes = max_crashes if max_crashes is not None \
             else 4 * jobs + 4
-        #: supervision policy (quarantine + hedging); defaults on
+        #: supervision policy (poison-task quarantine); defaults on
         self.guard = guard or GuardPolicy()
         #: ``(kind, detail) -> payload`` factory for quarantined tasks;
         #: without one a poison task fails fast through the failure lane
@@ -209,7 +202,6 @@ class WorkerPool:
             on_result: Optional[Callable[[str, dict], None]] = None,
             progress_total: Optional[int] = None,
             predictions: Optional[Dict[str, Tuple[float, str]]] = None,
-            hedge_seed: Sequence[float] = (),
             feed: Optional[Callable[[], Optional[Tuple[str, dict]]]] = None,
             on_drain: Optional[Callable[[], None]] = None,
             ) -> Tuple[Dict[str, dict], Dict[str, str]]:
@@ -226,8 +218,7 @@ class WorkerPool:
         (:func:`repro.sched.predict.order_tasks`); the pool preserves
         that order for fresh work.  ``predictions`` (task id →
         ``(value, provenance)``) decorate ``TaskFinished`` events so
-        predicted-vs-actual error is observable.  ``hedge_seed``
-        warm-starts the straggler book from ledger history.  ``feed``,
+        predicted-vs-actual error is observable.  ``feed``,
         when given, is a pull source consulted whenever local queues
         run dry — it returns ``(task_id, payload)`` or ``None`` for
         "nothing right now" (work stealing re-consults it every cycle);
@@ -251,15 +242,12 @@ class WorkerPool:
         pending = deque(payloads)         # fresh work, dispatch order
         retries: deque = deque()          # requeues: strictly behind fresh
         outstanding: set = set()          # dispatched, not yet finished
-        #: worker → (task, deadline, started_at)
-        running: Dict[int, Tuple[str, float, float]] = {}
+        #: worker → (task, deadline)
+        running: Dict[int, Tuple[str, float]] = {}
         attempts: Dict[str, int] = {tid: 0 for tid in payloads}  # dispatches
         fails: Dict[str, int] = {tid: 0 for tid in payloads}
-        live: Dict[str, int] = {tid: 0 for tid in payloads}  # copies in flight
-        hedge_dispatches: Set[Tuple[str, int]] = set()
         preds = predictions or {}
         ledger = HealthLedger(self.guard.poison_threshold)
-        book = HedgeBook(self.guard, seed=hedge_seed)
         procs: Dict[int, mp.process.BaseProcess] = {}
         crashes = 0
         feed_open = feed is not None    # crash-budget bail closes the feed
@@ -282,7 +270,6 @@ class WorkerPool:
             except stdlib_queue.Full:
                 return False
             attempts[tid] += 1
-            live[tid] += 1
             outstanding.add(tid)
             return True
 
@@ -300,7 +287,6 @@ class WorkerPool:
                 payloads[tid] = payload
                 attempts[tid] = 0
                 fails[tid] = 0
-                live[tid] = 0
             if not settled(tid):
                 pending.append(tid)
             return True
@@ -351,8 +337,6 @@ class WorkerPool:
             if settled(tid):
                 return
             fails[tid] += 1
-            if live.get(tid, 0) > 0:
-                return          # a duplicate still races; judge on arrival
             outstanding.discard(tid)
             if fails[tid] <= self.max_retries:
                 retries.append(tid)
@@ -368,14 +352,12 @@ class WorkerPool:
             self.emit(WorkerCrashed(worker=wid, task_id=tid, detail=detail,
                                     kind=kind))
             procs.pop(wid, None)
-            if tid is not None:
-                live[tid] = max(0, live.get(tid, 0) - 1)
-                if not settled(tid):
-                    verdict = ledger.record_death(tid, wid, kind, detail)
-                    if verdict == VERDICT_POISON and self.guard.quarantine:
-                        record_quarantine(tid, detail)
-                    else:
-                        copy_failed(tid, detail)
+            if tid is not None and not settled(tid):
+                verdict = ledger.record_death(tid, wid, kind, detail)
+                if verdict == VERDICT_POISON and self.guard.quarantine:
+                    record_quarantine(tid, detail)
+                else:
+                    copy_failed(tid, detail)
             if crashes <= self.max_crashes \
                     and (finished() < len(payloads)
                          or (feed_open and not feed_dry)):
@@ -383,40 +365,6 @@ class WorkerPool:
                 self.emit(WorkerReplaced(old_worker=wid,
                                          new_worker=next_wid))
                 next_wid += 1
-
-        def maybe_hedge(now: float) -> None:
-            """Duplicate stragglers onto idle workers — only once all
-            fresh and retried work is dispatched (and a feed, if any,
-            reported dry), so speculation never delays first execution
-            of anything."""
-            if not self.guard.hedge or pending or retries:
-                return
-            if feed_open and not feed_dry:
-                return                  # unclaimed work may still exist
-            idle = len(procs) - len(running)
-            if idle <= 0:
-                return
-            cut = book.threshold()
-            if cut is None:
-                return
-            for wid in sorted(running,
-                              key=lambda w: (running[w][2], w)):
-                if idle <= 0:
-                    return
-                tid, _deadline, started = running[wid]
-                if settled(tid) or not book.may_hedge(tid):
-                    continue
-                if live.get(tid, 0) != 1 or now - started < cut:
-                    continue
-                index = attempts[tid]
-                if not dispatch(tid):
-                    return              # queue full: try next poll round
-                hedge_dispatches.add((tid, index))
-                book.note_hedge(tid)
-                self.emit(TaskHedged(
-                    task_id=tid, kind=payloads[tid].get("kind", ""),
-                    worker=wid, elapsed=now - started, threshold=cut))
-                idle -= 1
 
         def snapshot() -> None:
             self.emit(ProgressSnapshot(
@@ -437,25 +385,17 @@ class WorkerPool:
                 now = time.monotonic()
                 if message is not None:
                     last_message = now
-                    kind, wid, tid, body, duration, attempt = message
+                    kind, wid, tid, body, duration = message
                     if kind == "start":
                         deadline = now + (self.task_timeout or float("inf"))
-                        running[wid] = (tid, deadline, now)
+                        running[wid] = (tid, deadline)
                         self.emit(TaskStarted(
                             task_id=tid,
                             kind=payloads[tid].get("kind", ""), worker=wid))
                     elif kind == "done":
                         running.pop(wid, None)
-                        live[tid] = max(0, live.get(tid, 0) - 1)
                         if settled(tid):
-                            continue    # late arrival from a hedge loser
-                        if (live.get(tid, 0) > 0
-                                and inject.ACTIVE is not None
-                                and inject.ACTIVE.fire(
-                                    "guard.hedge.lose", tid) is not None):
-                            # injected first-arrival loss: the duplicate
-                            # still in flight must deliver the same bytes
-                            continue
+                            continue    # late copy of a swept orphan
                         if inject.ACTIVE is not None and inject.ACTIVE.fire(
                                 "sched.result.corrupt", tid) is not None:
                             body = {"__corrupted__": True}
@@ -468,10 +408,6 @@ class WorkerPool:
                             continue
                         outstanding.discard(tid)
                         results[tid] = body
-                        book.observe(duration)
-                        hedged_win = (tid, attempt) in hedge_dispatches
-                        if hedged_win:
-                            book.wins += 1
                         if on_result is not None:
                             on_result(tid, body)
                         predicted, pred_source = preds.get(tid, (0.0, ""))
@@ -485,13 +421,11 @@ class WorkerPool:
                             diagnostics=len(
                                 (body or {}).get("diagnostics") or ()),
                             counters=payload_counters(body),
-                            hedged=hedged_win,
                             predicted=predicted,
                             predicted_source=pred_source))
                         snapshot()
                     elif kind == "fail":
                         running.pop(wid, None)
-                        live[tid] = max(0, live.get(tid, 0) - 1)
                         if not settled(tid):
                             copy_failed(tid, body)
                             snapshot()
@@ -512,7 +446,7 @@ class WorkerPool:
                     if not proc.is_alive():
                         on_worker_death(
                             wid, f"worker exited with code {proc.exitcode}")
-                for wid, (tid, deadline, _started) in list(running.items()):
+                for wid, (tid, deadline) in list(running.items()):
                     if now > deadline:
                         proc = procs.get(wid)
                         if proc is not None:
@@ -533,7 +467,6 @@ class WorkerPool:
                     pending.clear()
                     retries.clear()
                     break
-                maybe_hedge(now)
                 # orphan sweep: tasks dispatched to a worker that died
                 # between dequeue and its "start" message
                 if (outstanding and not running
@@ -542,7 +475,6 @@ class WorkerPool:
                     for tid in list(outstanding):
                         outstanding.discard(tid)
                         if not settled(tid):
-                            live[tid] = 0
                             retries.append(tid)
                     last_message = now
         finally:

@@ -36,14 +36,13 @@ pins it for every problem under all seven execution models.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..harness.evaluate import ConfigurationError
 from ..harness.runner import Runner
@@ -52,8 +51,7 @@ from .plan import KIND_BASELINE, KIND_SAMPLE, Plan
 #: dispatch policies for the pool's ready queue
 DISPATCH_LPT = "lpt"            # longest-predicted-first (default)
 DISPATCH_FIFO = "fifo"          # plan first-use order (the pre-ledger order)
-DISPATCH_RANDOM = "random"      # seed-keyed deterministic shuffle
-DISPATCH_POLICIES = (DISPATCH_LPT, DISPATCH_FIFO, DISPATCH_RANDOM)
+DISPATCH_POLICIES = (DISPATCH_LPT, DISPATCH_FIFO)
 
 #: prediction provenance markers carried on TaskFinished events
 PRED_LEDGER = "ledger"          # seconds, from observed history
@@ -63,7 +61,7 @@ PRED_ESTIMATOR = "estimator"    # arbitrary units, from static features
 _FLUSH_EVERY = 64
 #: observation lines on disk that trigger compaction on close
 _COMPACT_AT = 8192
-#: recent observations kept per key (quantiles + hedge seeding)
+#: recent observations kept per key (quantiles)
 _RECENT_CAP = 64
 
 
@@ -257,20 +255,6 @@ class DurationLedger:
                 return None
             return _nearest_rank(list(st.recent), q)
 
-    def seed_durations(self, keys: Iterable[str],
-                       cap: int = 256) -> List[float]:
-        """Recent observed durations across ``keys`` — the HedgeBook
-        warm-start sample.  Returns ``[]`` when every key is cold (the
-        graceful cold-ledger fallback: hedging then warms up in-run,
-        exactly as before the ledger existed)."""
-        out: List[float] = []
-        with self._lock:
-            for key in sorted(set(keys)):
-                st = self._stats.get(key)
-                if st is not None:
-                    out.extend(st.recent)
-        return out[-cap:] if len(out) > cap else out
-
     @property
     def keys(self) -> int:
         with self._lock:
@@ -376,14 +360,12 @@ def plan_keys(plan: Plan) -> Dict[str, str]:
 
 
 def order_tasks(task_ids: Sequence[str], policy: str,
-                predictions: Optional[Dict[str, Tuple[float, str]]] = None,
-                seed: int = 0) -> List[str]:
+                predictions: Optional[Dict[str, Tuple[float, str]]] = None
+                ) -> List[str]:
     """Order the ready queue under a dispatch policy — deterministically.
 
     ``lpt`` sorts longest-predicted-first with the plan index as the
-    stable tie-break, ``fifo`` keeps first-use plan order, ``random`` is
-    a seed-keyed hash shuffle (useful as a differential-testing foil:
-    any order must produce the same bytes).
+    stable tie-break; ``fifo`` keeps first-use plan order.
     """
     if policy not in DISPATCH_POLICIES:
         raise ConfigurationError(
@@ -392,10 +374,6 @@ def order_tasks(task_ids: Sequence[str], policy: str,
     ids = list(task_ids)
     if policy == DISPATCH_FIFO or len(ids) <= 1:
         return ids
-    if policy == DISPATCH_RANDOM:
-        def shuffle_key(tid: str) -> str:
-            return hashlib.sha256(f"{seed}:{tid}".encode()).hexdigest()
-        return sorted(ids, key=shuffle_key)
     index = {tid: i for i, tid in enumerate(ids)}
     preds = predictions or {}
 
@@ -416,7 +394,7 @@ def ledger_path_for(cache_root: Path | str) -> Path:
 
 __all__ = [
     "CostEstimator", "DISPATCH_FIFO", "DISPATCH_LPT", "DISPATCH_POLICIES",
-    "DISPATCH_RANDOM", "DurationLedger", "PRED_ESTIMATOR", "PRED_LEDGER",
+    "DurationLedger", "PRED_ESTIMATOR", "PRED_LEDGER",
     "feature_key", "ledger_path_for", "order_tasks", "plan_keys",
     "predict_plan",
 ]

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
 from ..bench.registry import PCGBench
-from ..guard.health import GuardPolicy
 from ..harness.evaluate import EvalRun, effective_samples
 from ..harness.runner import Runner
 from ..models.llm import SimulatedLLM
@@ -74,7 +73,6 @@ def run_scheduled(
     task_timeout: Optional[float] = 300.0,
     max_retries: int = 2,
     profile: bool = False,
-    guard: Optional[GuardPolicy] = None,
     dispatch: str = DISPATCH_LPT,
     ledger_path: Optional[Union[str, Path]] = None,
 ) -> Tuple[EvalRun, Telemetry]:
@@ -83,18 +81,16 @@ def run_scheduled(
     With ``journal_path`` set, every finished task is checkpointed and a
     later call with ``resume=True`` replays finished work instead of
     recomputing it.  With ``sample_cache_dir`` set, results are also
-    stored content-addressed and shared across runs.  ``guard``
-    configures supervision (poison-task quarantine + straggler hedging,
-    :class:`repro.guard.GuardPolicy`); the default policy has both on.
+    stored content-addressed and shared across runs.
 
     ``dispatch`` picks the ready-queue policy
     (:mod:`repro.sched.predict`): ``"lpt"`` (default) dispatches
     longest-predicted-first to cut the straggler tail, ``"fifo"`` keeps
-    plan order, ``"random"`` is a seed-keyed shuffle.  Predictions come
-    from the :class:`~repro.sched.predict.DurationLedger` at
-    ``ledger_path`` (default: ``durations.jsonl`` inside
-    ``sample_cache_dir``) with a static estimator fallback; observed
-    durations are fed back after every executed task.  Policy choice is
+    plan order.  Predictions come from the
+    :class:`~repro.sched.predict.DurationLedger` at ``ledger_path``
+    (default: ``durations.jsonl`` inside ``sample_cache_dir``) with a
+    static estimator fallback; observed durations are fed back after
+    every executed task.  Policy choice is
     pure throughput: ``assemble`` rebuilds the run in plan order, so
     every policy yields byte-identical output.
     """
@@ -164,7 +160,7 @@ def run_scheduled(
                     continue
             remaining.append(task_id)
         # throughput-only reordering: assemble() rebuilds in plan order
-        remaining = order_tasks(remaining, dispatch, predictions, seed=seed)
+        remaining = order_tasks(remaining, dispatch, predictions)
 
         if remaining:
             def on_result(task_id: str, payload: dict) -> None:
@@ -182,21 +178,17 @@ def run_scheduled(
                 if ledger is not None:
                     ledger.flush()
 
-            hedge_seed = (ledger.seed_durations(keys[tid]
-                                                for tid in remaining)
-                          if ledger is not None else ())
             pool = WorkerPool(
                 jobs=jobs, work_fn=execute_task, init_fn=init_harness,
                 init_args=(runner, plan.bench_ptypes, plan.bench_models),
                 task_timeout=task_timeout, max_retries=max_retries,
                 emit=sink, validate=valid_result,
-                guard=guard, quarantine=quarantine_payload)
+                quarantine=quarantine_payload)
             executed, failures = pool.run(
                 [(tid, plan.tasks[tid].payload()) for tid in remaining],
                 on_result=on_result,
                 progress_total=len(plan.tasks),
                 predictions=predictions,
-                hedge_seed=hedge_seed,
                 on_drain=on_drain)
             results.update(executed)
             for task_id, detail in failures.items():

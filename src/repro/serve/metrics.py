@@ -85,9 +85,6 @@ class ServiceMetrics:
         self.shard_restarts = 0
         #: queued tasks moved between shards by the work-stealing board
         self.tasks_stolen = 0
-        # guard supervision (repro.guard): straggler hedging traffic
-        self.hedges = 0
-        self.hedge_wins = 0
         # cost-predictive dispatch (repro.sched.predict): how often the
         # duration ledger had history vs falling back to the static
         # estimator, and how far ledger predictions missed (seconds)
@@ -175,8 +172,6 @@ class ServiceMetrics:
             self.tasks_failed += telemetry.failed
             self.tasks_quarantined += telemetry.quarantined
             self.shard_restarts += restarts
-            self.hedges += telemetry.hedges
-            self.hedge_wins += telemetry.hedge_wins
             self.ledger_predictions += telemetry.ledger_predictions
             self.estimator_predictions += telemetry.estimator_predictions
             self.pred_samples += telemetry.pred_samples
@@ -249,8 +244,8 @@ class ServiceMetrics:
                 "tasks_quarantined": self.tasks_quarantined,
                 "shard_restarts": self.shard_restarts,
                 "tasks_stolen": self.tasks_stolen,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
+                # always 0: kept only because the pipeline benchmark reads it
+                "hedges": 0,
                 "ledger_predictions": self.ledger_predictions,
                 "estimator_predictions": self.estimator_predictions,
                 "ledger_hit_rate": (

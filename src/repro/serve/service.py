@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..bench.spec import EXECUTION_MODELS, PROBLEM_TYPES
-from ..guard import BreakerBoard, GuardPolicy
+from ..guard import BreakerBoard
 from ..harness.evaluate import EvalRun
 from ..harness.runner import Runner
 from ..models import MODEL_ORDER
@@ -193,7 +193,6 @@ class EvalService:
                  max_retries: int = 2,
                  max_shard_restarts: int = 2,
                  vectorize: bool = True,
-                 hedging: bool = True,
                  breaker_threshold: int = 2,
                  breaker_cooldown: int = 2,
                  retry_after_cap: float = 60.0,
@@ -221,9 +220,6 @@ class EvalService:
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.max_shard_restarts = max_shard_restarts
-        #: supervision policy for the shard pools (quarantine always on;
-        #: hedging is the observable-throughput toggle)
-        self.guard = GuardPolicy(hedge=hedging)
         #: per-shard circuit breakers: a shard that exhausts its restart
         #: budget twice in a row stops receiving work until a half-open
         #: probe (after ``breaker_cooldown`` batches) succeeds
@@ -236,7 +232,7 @@ class EvalService:
         #: differential-testing foil (results byte-identical either way)
         self.dispatch = dispatch
         #: durable wall-time history shared by every batch; feeds shard
-        #: balancing, pool dispatch, hedge warm-start, and Retry-After
+        #: balancing, pool dispatch, and Retry-After
         self.ledger = DurationLedger(self.workdir / "durations.jsonl")
         self.metrics = ServiceMetrics(shards, retry_after_cap=retry_after_cap)
         warm = self.ledger.predict(BATCH_EMA_KEY)
@@ -401,7 +397,7 @@ class EvalService:
         union = union_tasks(plans)
         key = batch_key(union)
         # cost predictions: ledger EMA where warm, static estimate where
-        # cold — drive shard balancing, pool dispatch, hedge warm-start
+        # cold — drive shard balancing and pool dispatch
         task_keys: Dict[str, str] = {}
         predictions: Dict[str, Tuple[float, str]] = {}
         for plan in plans:
@@ -419,8 +415,6 @@ class EvalService:
                 continue
             routed.setdefault(self.breakers.route(home), {}).update(specs)
         board = TaskBoard(routed) if balanced else None
-        hedge_seed = (self.ledger.seed_durations(task_keys.values())
-                      if balanced else ())
 
         def observe(event: object) -> None:
             # executor threads report here; the ledger locks internally
@@ -433,7 +427,7 @@ class EvalService:
         shard_runs = [
             loop.run_in_executor(
                 self._executor, self._run_one_shard, shard, key, specs,
-                ptypes, models, board, predictions, hedge_seed, observe)
+                ptypes, models, board, predictions, observe)
             for shard, specs in sorted(routed.items())
         ]
         results: Dict[str, dict] = {}
@@ -476,17 +470,15 @@ class EvalService:
 
     def _run_one_shard(self, shard_id: int, key: str, specs,
                        ptypes: Tuple[str, ...], models: Tuple[str, ...],
-                       board=None, predictions=None, hedge_seed=(),
-                       emit=None):
+                       board=None, predictions=None, emit=None):
         return run_shard(
             shard_id, key, specs,
             journal_path=self.workdir / f"shard-{shard_id}.journal.jsonl",
             runner=self.runner, ptypes=ptypes, models=models,
             jobs=self.jobs_per_shard, cache_dir=self.cache_dir,
             task_timeout=self.task_timeout, max_retries=self.max_retries,
-            max_restarts=self.max_shard_restarts, guard=self.guard,
-            emit=emit, board=board, predictions=predictions,
-            hedge_seed=hedge_seed)
+            max_restarts=self.max_shard_restarts,
+            emit=emit, board=board, predictions=predictions)
 
     def _finish(self, ticket: RequestTicket, status: str,
                 error: str = "") -> None:

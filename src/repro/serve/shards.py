@@ -21,10 +21,9 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from ..faults import inject
-from ..guard.health import GuardPolicy
 from ..harness.runner import Runner
 from ..sched.events import (
     EmitFn,
@@ -56,8 +55,7 @@ class TaskBoard:
     queue (ties broken by lowest shard id), front-first — the front
     holds the longest remaining task, so a steal moves the most load.
     Only queued, not-yet-started work moves; a task in flight on another
-    shard is never duplicated by the board (hedging stays the pool's
-    job, within a shard).
+    shard is never duplicated by the board.
 
     Stealing is byte-identical by the same argument as dispatch order:
     every copy of a task computes identical judged content, and
@@ -154,10 +152,9 @@ def run_shard(shard_id: int,
               max_retries: int = 2,
               max_restarts: int = 2,
               emit: Optional[EmitFn] = None,
-              guard: Optional[GuardPolicy] = None,
               board: Optional[TaskBoard] = None,
-              predictions: Optional[Dict[str, Tuple[float, str]]] = None,
-              hedge_seed: Sequence[float] = ()) -> ShardResult:
+              predictions: Optional[Dict[str, Tuple[float, str]]] = None
+              ) -> ShardResult:
     """Execute one shard's tasks; survives pool-loop deaths via resume.
 
     Attempt 0 starts a fresh journal for ``batch_key``; every restart
@@ -169,9 +166,8 @@ def run_shard(shard_id: int,
     partition: tasks are pulled one at a time through the pool's feed
     callback (own queue first, then stolen from the deepest sibling),
     so a shard that drains early keeps working instead of idling behind
-    a skewed partition.  ``predictions`` and ``hedge_seed`` thread the
-    cost-predictive dispatch state (:mod:`repro.sched.predict`) into
-    the shard's pool.
+    a skewed partition.  ``predictions`` threads the cost-predictive
+    dispatch state (:mod:`repro.sched.predict`) into the shard's pool.
     """
     out = ShardResult(shard=shard_id)
     telemetry = out.telemetry
@@ -256,18 +252,18 @@ def run_shard(shard_id: int,
                 init_args=(runner, tuple(ptypes), tuple(models)),
                 task_timeout=task_timeout, max_retries=max_retries,
                 emit=pool_sink, validate=valid_result,
-                guard=guard, quarantine=quarantine_payload)
+                quarantine=quarantine_payload)
             try:
                 if board is not None:
                     executed, failed = pool.run(
                         [], on_result=on_result, feed=feed,
-                        predictions=predictions, hedge_seed=hedge_seed,
+                        predictions=predictions,
                         on_drain=journal.commit)
                 else:
                     executed, failed = pool.run(
                         [(t, specs[t].payload()) for t in remaining],
                         on_result=on_result,
-                        predictions=predictions, hedge_seed=hedge_seed,
+                        predictions=predictions,
                         on_drain=journal.commit)
             except Exception as exc:    # noqa: BLE001 - shard loop death
                 out.error = f"{type(exc).__name__}: {exc}"

@@ -88,11 +88,9 @@ class TestPolicy:
     def test_defaults(self):
         assert DEFAULT_POLICY.quarantine is True
         assert DEFAULT_POLICY.poison_threshold == 2
-        assert DEFAULT_POLICY.hedge is True
-        assert DEFAULT_POLICY.max_hedges_per_task == 1
 
     def test_policy_is_frozen(self):
         import pytest
 
         with pytest.raises(dataclasses.FrozenInstanceError):
-            GuardPolicy().hedge = False
+            GuardPolicy().quarantine = False

@@ -1,13 +1,11 @@
-"""Guard mechanisms inside the worker pool: poison-task quarantine and
-deterministic straggler hedging, driven by synthetic tasks."""
+"""Poison-task quarantine inside the worker pool, driven by synthetic
+tasks."""
 
 import os
-import time
 
-from repro.faults import FaultPlan, FaultRule, injector
 from repro.guard import GuardPolicy
 from repro.sched import SOURCE_QUARANTINED, Telemetry, WorkerPool
-from repro.sched.events import TaskFinished, TaskHedged
+from repro.sched.events import TaskFinished
 
 
 def _init(tag):
@@ -20,17 +18,6 @@ def _work(ctx, payload):
         return {"v": payload["v"] * 2}
     if action == "crash":
         os._exit(13)
-    if action == "straggle":
-        # the first copy parks; any later copy (the hedge) returns the
-        # identical payload immediately — both arrivals are byte-equal
-        marker = payload["marker"]
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
-            time.sleep(payload["sleep"])
-        except FileExistsError:
-            pass
-        return {"v": "done"}
     raise ValueError(f"unknown action {action}")
 
 
@@ -41,11 +28,6 @@ def _ok_tasks(n):
 
 def _quarantine(kind, detail):
     return {"status": "quarantined", "detail": f"guard: {detail}"}
-
-
-#: every completed task re-arms a near-zero straggler cut immediately
-EAGER = GuardPolicy(hedge_multiplier=0.0, hedge_min_completed=1,
-                    hedge_min_seconds=0.05)
 
 
 class TestQuarantine:
@@ -99,70 +81,3 @@ class TestQuarantine:
                                                 "action": "crash"})])
         assert results == {}
         assert "poison task" in failures["doom"]
-
-
-class TestHedging:
-    def _straggler_tasks(self, tmp_path, sleep=2.0):
-        return _ok_tasks(4) + [
-            ("slow", {"kind": "sample", "action": "straggle",
-                      "marker": str(tmp_path / "slow.marker"),
-                      "sleep": sleep})]
-
-    def test_straggler_is_hedged_and_duplicate_wins(self, tmp_path):
-        tel = Telemetry()
-        tel.keep_events = True
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), guard=EAGER, emit=tel)
-        results, failures = pool.run(self._straggler_tasks(tmp_path))
-        assert failures == {}
-        assert results["slow"] == {"v": "done"}
-        # the duplicate's instant return was accepted while the first
-        # copy was still parked — a hedge launch and a hedge win
-        assert tel.hedges >= 1
-        assert tel.hedge_wins >= 1
-        assert any(isinstance(e, TaskHedged) for e in tel.events)
-
-    def test_hedge_win_marks_task_finished(self, tmp_path):
-        tel = Telemetry()
-        tel.keep_events = True
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), guard=EAGER, emit=tel)
-        pool.run(self._straggler_tasks(tmp_path))
-        done = [e for e in tel.events if isinstance(e, TaskFinished)
-                and e.task_id == "slow"]
-        assert len(done) == 1 and done[0].hedged
-
-    def test_hedging_off_never_speculates(self, tmp_path):
-        tel = Telemetry()
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",),
-                          guard=GuardPolicy(hedge=False), emit=tel)
-        results, failures = pool.run(self._straggler_tasks(tmp_path,
-                                                           sleep=1.0))
-        assert failures == {}
-        assert results["slow"] == {"v": "done"}
-        assert tel.hedges == 0 and tel.hedge_wins == 0
-
-    def test_injected_first_arrival_loss_duplicate_delivers(self, tmp_path):
-        """guard.hedge.lose discards the first arrival while its twin is
-        in flight; the twin's payload must be interchangeable."""
-        tel = Telemetry()
-        plan = FaultPlan(rules=(
-            FaultRule(point="guard.hedge.lose", action="lose"),))
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), guard=EAGER, emit=tel)
-        with injector(plan):
-            results, failures = pool.run(
-                self._straggler_tasks(tmp_path, sleep=1.5))
-        assert failures == {}
-        assert results["slow"] == {"v": "done"}
-        assert tel.hedges >= 1
-
-    def test_at_most_one_duplicate_per_task(self, tmp_path):
-        tel = Telemetry()
-        pool = WorkerPool(jobs=4, work_fn=_work, init_fn=_init,
-                          init_args=("t",), guard=EAGER, emit=tel)
-        results, failures = pool.run(self._straggler_tasks(tmp_path,
-                                                           sleep=2.0))
-        assert failures == {}
-        assert tel.hedges <= 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import all_problems, baseline_source, render_prompt
-from repro.harness import Runner
+from repro.harness import Runner, compile_sample
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,20 @@ class TestStatuses:
         res = runner.evaluate_sample(src, prompt)
         assert res.status == "build_error"
         assert "link error" in res.detail
+
+    @pytest.mark.parametrize("body", ["(" * 3000 + "1" + ")" * 3000,
+                                      "-" * 3000 + "1"],
+                             ids=["parens", "unary-minus"])
+    def test_deep_nesting_is_build_error(self, runner, body):
+        src = f"kernel f(n: int) -> int {{ return {body}; }}"
+        program, reason = compile_sample(src, "serial")
+        assert program is None
+        assert reason == ("compile error: program too deeply nested "
+                          "to analyze")
+        p = problem("sum_of_elements")
+        res = runner.evaluate_sample(src, render_prompt(p, "serial"))
+        assert res.status == "build_error"
+        assert res.detail == reason
 
     def test_not_parallel(self, runner):
         p = problem("sum_of_elements")

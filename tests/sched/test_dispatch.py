@@ -3,7 +3,7 @@ policy, never content.
 
 Every problem in the benchmark, under all seven execution models, is
 evaluated serially and then under each dispatch policy (``lpt``,
-``fifo``, ``random``) on a parallel pool; the resulting
+``fifo``) plus a reversed ready queue on a parallel pool; the resulting
 :class:`EvalRun` records, CSV exports, profiles, and digests must be
 byte-identical.  Also covers the warm-ledger path: a second run whose
 predictions come from observed history must still produce the same
@@ -18,10 +18,23 @@ from repro.analysis import to_csv
 from repro.analysis.export import profile_csv
 from repro.bench.registry import PCGBench as Registry
 from repro.harness import ConfigurationError
-from repro.sched import DISPATCH_POLICIES
+from repro.sched import DISPATCH_POLICIES, scheduler
 from repro.sched.scheduler import run_scheduled
 
 ALL_MODELS = ["serial", "openmp", "kokkos", "mpi", "mpi+omp", "cuda", "hip"]
+
+#: every policy, then a non-plan order no policy produces
+ORDERS = DISPATCH_POLICIES + ("reversed",)
+
+
+def _policy(order, monkeypatch):
+    """The ``dispatch=`` argument for ``order``; ``"reversed"`` swaps
+    the scheduler's ordering for the reversed ready queue."""
+    if order != "reversed":
+        return order
+    monkeypatch.setattr(scheduler, "order_tasks",
+                        lambda ids, policy, predictions=None: list(ids)[::-1])
+    return "lpt"
 
 
 @pytest.fixture(scope="module")
@@ -32,18 +45,20 @@ def full_bench():
 class TestFullDifferential:
     """The acceptance gate: byte-identical EvalRuns under every policy."""
 
-    def test_every_problem_every_model_every_policy(self, full_bench):
+    def test_every_problem_every_model_every_policy(self, full_bench,
+                                                    monkeypatch):
         llm = load_model("GPT-4")
         kwargs = dict(num_samples=2, temperature=0.2, seed=9)
         reference = evaluate_model(llm, full_bench, **kwargs)
-        for policy in DISPATCH_POLICIES:
+        for order in ORDERS:
             run = evaluate_model(llm, full_bench, jobs=2,
-                                 dispatch=policy, **kwargs)
-            assert run.to_json() == reference.to_json(), policy
-            assert run.digest() == reference.digest(), policy
-            assert to_csv(run) == to_csv(reference), policy
+                                 dispatch=_policy(order, monkeypatch),
+                                 **kwargs)
+            assert run.to_json() == reference.to_json(), order
+            assert run.digest() == reference.digest(), order
+            assert to_csv(run) == to_csv(reference), order
 
-    def test_timed_profiled_slice_every_policy(self):
+    def test_timed_profiled_slice_every_policy(self, monkeypatch):
         # timing + profiling produce the heaviest, most skewed tasks —
         # exactly where LPT reorders hardest
         bench = Registry(problem_types=["reduce", "transform"],
@@ -52,11 +67,12 @@ class TestFullDifferential:
         kwargs = dict(num_samples=2, temperature=0.2, seed=9,
                       with_timing=True, profile=True)
         reference = evaluate_model(llm, bench, **kwargs)
-        for policy in DISPATCH_POLICIES:
+        for order in ORDERS:
             run = evaluate_model(llm, bench, jobs=2,
-                                 dispatch=policy, **kwargs)
-            assert run.to_json() == reference.to_json(), policy
-            assert profile_csv(run) == profile_csv(reference), policy
+                                 dispatch=_policy(order, monkeypatch),
+                                 **kwargs)
+            assert run.to_json() == reference.to_json(), order
+            assert profile_csv(run) == profile_csv(reference), order
 
 
 class TestWarmLedger:

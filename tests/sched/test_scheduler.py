@@ -198,6 +198,18 @@ class TestTelemetry:
         assert returned.counts == telemetry.counts
         assert len(run.prompts) == len(bench.prompts)
 
+    def test_clean_timed_run_reports_no_retries_or_crashes(self, llm, bench,
+                                                           serial_timed):
+        # every task runs exactly once: nothing may count as a retry
+        telemetry = Telemetry()
+        run = evaluate_model(llm, bench, num_samples=3, temperature=0.2,
+                             with_timing=True, seed=7, jobs=2,
+                             events=telemetry)
+        assert run.to_json() == serial_timed.to_json()
+        assert telemetry.executed > 0
+        assert telemetry.retries == 0
+        assert telemetry.crashes == 0
+
 
 class TestEvalCacheIntegration:
     def test_scheduled_get_or_run_matches_serial(self, llm, bench, tmp_path):
