@@ -68,9 +68,9 @@ def _sched_pass(llm, bench, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_scheduler_throughput(benchmark, jobs):
-    """Wall-clock of one full evaluation pass: serial loop (jobs=1) vs
-    the worker pool.  The pool wins even on one core because content-hash
-    task dedup evaluates each distinct generated source once."""
+    """Wall-clock of one full evaluation pass: in process (jobs=1) vs
+    the worker pool.  Both paths judge each distinct generated source
+    once (content-hash task dedup), so the pool's edge is parallelism."""
     llm, bench = _sched_workload()
     run = benchmark.pedantic(_sched_pass, args=(llm, bench, jobs),
                              rounds=2, iterations=1, warmup_rounds=0)

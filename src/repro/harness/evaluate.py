@@ -13,10 +13,9 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..bench.registry import PCGBench
-from ..bench.spec import Prompt
 from ..models.llm import SimulatedLLM
 from .runner import Runner
 
@@ -50,9 +49,9 @@ class SampleRecord:
     #: denominator; detail starts with "guard:"), and degraded
     #: (correct but the timing sweep was fault-perturbed; counts for
     #: pass@k / build@k, excluded from speedup).  A timeout is the
-    #: *sample* hanging (fuel / simulated-time cap, see detail); an infra
-    #: wall-clock kill by the scheduler is a system_error whose detail
-    #: starts with "scheduler:".
+    #: *sample* hanging (it exhausted the interpreter's fuel budget, see
+    #: detail); an infra wall-clock kill by the scheduler is a
+    #: system_error whose detail starts with "scheduler:".
     status: str
     intended: str = ""
     detail: str = ""
@@ -204,11 +203,15 @@ def evaluate_model(
 ) -> EvalRun:
     """Run the full §7 pipeline for one model over ``bench``.
 
-    ``jobs=1`` (default) keeps the original serial loop.  ``jobs>1`` —
-    or any of ``journal``/``resume``/``sample_cache``/``events`` —
-    routes through :mod:`repro.sched`: the same pipeline
-    decomposed into ``(prompt, sample)`` tasks on a fault-isolated
-    worker pool, with JSONL checkpointing (``journal`` +
+    Both paths decompose the evaluation with
+    :func:`repro.sched.plan.build_plan` into content-addressed tasks, so
+    a sample whose source repeats within a prompt is judged once and its
+    verdict fans out to every slot.  ``jobs=1`` (default) runs each
+    distinct task in this process, in plan order, calling ``progress``
+    after each prompt.  ``jobs>1`` — or any of
+    ``journal``/``resume``/``sample_cache``/``events`` — routes through
+    :func:`repro.sched.scheduler.run_scheduled`: the same tasks on a
+    fault-isolated worker pool, with JSONL checkpointing (``journal`` +
     ``resume=True``) and a content-addressed cross-run sample cache.
     Both paths assemble byte-identical :class:`EvalRun` objects.
 
@@ -240,31 +243,22 @@ def evaluate_model(
             profile=profile,
             dispatch=dispatch if dispatch is not None else "lpt")
         return run
+    from ..sched.plan import assemble, build_plan
+    from ..sched.worker import execute_task
+
     runner = runner or Runner()
-    num_samples = effective_samples(num_samples)
-    run = EvalRun(llm=llm.name, temperature=temperature,
-                  num_samples=num_samples, with_timing=with_timing, seed=seed)
-    for prompt in bench.prompts:
-        record = PromptRecord(uid=prompt.uid, ptype=prompt.problem.ptype,
-                              exec_model=prompt.model)
-        if with_timing:
-            record.baseline = runner.baseline_time(prompt.problem)
-        for sample in llm.generate(prompt, num_samples, temperature, seed):
-            res = runner.evaluate_sample(sample.source, prompt,
-                                         with_timing=with_timing,
-                                         profile=profile)
-            record.samples.append(SampleRecord(
-                status=res.status, intended=sample.intended,
-                detail=res.detail[:160], times=dict(res.times),
-                diagnostics=[d.to_dict() for d in res.diagnostics],
-                profile=res.profile.to_dict() if res.profile is not None
-                else None,
-                vec=res.vec,
-            ))
-        run.prompts[prompt.uid] = record
+    plan = build_plan(llm, bench, effective_samples(num_samples), temperature,
+                      with_timing, runner, seed, profile=profile)
+    ctx = (runner, {p.uid: p for p in bench.prompts},
+           {p.name: p for p in bench.problems})
+    results: Dict[str, Dict[str, object]] = {}
+    for pp in plan.prompts:
+        for tid in [pp.baseline_task] + [s.task_id for s in pp.slots]:
+            if tid is not None and tid not in results:
+                results[tid] = execute_task(ctx, plan.tasks[tid].payload())
         if progress is not None:
-            progress(prompt.uid)
-    return run
+            progress(pp.uid)
+    return assemble(plan, results)
 
 
 class EvalCache:

@@ -13,9 +13,10 @@ Statuses mirror the paper's bookkeeping:
   execution (``repro.lint``); skipped dynamically.  Disable with
   ``Runner(static_screen=False)`` / ``--no-static-screen``;
 * ``runtime_error`` — trap / race / deadlock / MPI misuse;
-* ``timeout``       — exceeded the fuel budget or simulated 3-minute cap
-  (the *sample* hung — a model failure, unlike the scheduler's wall-clock
-  ``task_timeout`` which is infrastructure and becomes ``system_error``);
+* ``timeout``       — exhausted the interpreter's fuel budget, the only
+  timeout budget (the *sample* hung — a model failure, unlike the
+  scheduler's wall-clock ``task_timeout`` which is infrastructure and
+  becomes ``system_error``);
 * ``wrong_answer``  — ran but the outputs disagree with the reference;
 * ``correct``       — everything above passed;
 * ``system_error``  — the *harness*, not the sample, failed: an injected
@@ -63,7 +64,6 @@ from ..lang.errors import (
     MiniParError,
     MPIUsageError,
     RuntimeFailure,
-    SimTimeLimitExceeded,
     TrapError,
 )
 from ..runtime import (
@@ -199,7 +199,7 @@ def compile_sample(source: str, model: str):
 
 
 def _classify(exc: BaseException) -> str:
-    if isinstance(exc, FuelExhausted) or isinstance(exc, SimTimeLimitExceeded):
+    if isinstance(exc, FuelExhausted):
         return "timeout"
     if isinstance(exc, (DataRaceError, DeadlockError, MPIUsageError,
                         TrapError, RuntimeFailure)):

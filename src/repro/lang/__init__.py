@@ -23,7 +23,6 @@ from .errors import (
     MPIUsageError,
     ParseError,
     RuntimeFailure,
-    SimTimeLimitExceeded,
     TrapError,
     TypeError_,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "RuntimeFailure",
     "TrapError",
     "FuelExhausted",
-    "SimTimeLimitExceeded",
     "DataRaceError",
     "DeadlockError",
     "MPIUsageError",

@@ -53,16 +53,13 @@ class TrapError(RuntimeFailure):
 
 
 class FuelExhausted(RuntimeFailure):
-    """The interpreter ran out of fuel (models the harness' 3-minute cap)."""
+    """The interpreter's work budget (fuel) ran out: the harness' only
+    timeout, standing in for the paper's kill timer on hung samples."""
 
 
 class MemoryExhausted(RuntimeFailure):
     """An allocation exceeded the execution context's memory budget
     (models a node OOM-killing the evaluation process)."""
-
-
-class SimTimeLimitExceeded(RuntimeFailure):
-    """Simulated execution time exceeded the harness time limit."""
 
 
 class DataRaceError(RuntimeFailure):

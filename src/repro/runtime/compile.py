@@ -449,8 +449,11 @@ class Compiler:
         cond, wc = self._compile_expr(s.cond)
         body = self._compile_block(s.body)
         per_iter = wc + W_LOOP_ITER
+        runaway = self._runaway_guard(s, cond)
 
         def run(env: dict, ctx: ExecCtx):
+            if runaway is not None and runaway(env, ctx):
+                ctx.exhaust_fuel()
             fuel = ctx.fuel
             while True:
                 ctx.cost += per_iter
@@ -466,6 +469,76 @@ class Compiler:
                         return sig
 
         return run
+
+    def _runaway_guard(self, s: ast.While, cond: ExprFn
+                       ) -> Optional[Callable[[dict, ExecCtx], bool]]:
+        """Recognize a ``while`` loop that provably never exits.
+
+        The body must be only ``name += L`` / ``name -= L`` on int or
+        float scalars (L a numeric literal), the condition ``x OP b`` (OP
+        in ``< <= > >=``) on a stepped ``x`` and a literal or unassigned
+        name ``b``, and no step may move ``x`` toward the exit.  Steps on
+        unbounded Python ints and IEEE floats are monotone and the tracer
+        sees no scalars, so such a loop can only spin until the fuel
+        check raises (docs/harness.md §Timeouts).  Returns the run-time
+        half of the test (finite fuel, exact scalar types, condition true
+        at entry), or None.
+        """
+        lits = _vec._Builder(self, None)
+
+        def literal(e: ast.Expr):
+            node, sign = lits.expr(e), 1.0
+            if node is not None and not node.is_int and node.kind == "neg":
+                node, sign = node.a, -1.0
+            if node is None:
+                return None
+            if node.is_int:
+                return _vec._static_int(node)
+            return sign * node.value if node.kind == "lit" else None
+
+        def kind_of(e: ast.Name) -> Optional[type]:
+            t = self.checked.expr_types.get(id(e))
+            return {T.INT: int, T.FLOAT: float}.get(t)
+
+        kinds: Dict[str, type] = {}
+        steps: List[Tuple[str, float]] = []
+        for st in s.body.stmts:
+            if not (isinstance(st, ast.Assign) and st.op in ("+=", "-=")
+                    and isinstance(st.target, ast.Name)):
+                return None
+            kind, step = kind_of(st.target), literal(st.value)
+            # finite and float-convertible; int targets take int steps only
+            if (kind is None or step is None or not abs(step) < 2 ** 63
+                    or (kind is int and type(step) is not int)):
+                return None
+            kinds[st.target.ident] = kind
+            steps.append((st.target.ident, step if st.op == "+=" else -step))
+        c = s.cond
+        if not (isinstance(c, ast.Binary) and c.op in _FLIP):
+            return None
+        x, bound, op = c.left, c.right, c.op
+        if not (isinstance(x, ast.Name) and x.ident in kinds):
+            x, bound, op = bound, x, _FLIP[op]
+        if not (isinstance(x, ast.Name) and x.ident in kinds):
+            return None
+        types = dict(kinds)
+        if isinstance(bound, ast.Name):
+            if bound.ident in kinds or kind_of(bound) is None:
+                return None
+            types[bound.ident] = kind_of(bound)
+        elif literal(bound) is None:
+            return None
+        # x > b and x >= b exit once x falls; x < b and x <= b once it rises
+        away = 1 if op in (">", ">=") else -1
+        if any(name == x.ident and step * away <= 0 for name, step in steps):
+            return None
+
+        def runaway(env: dict, ctx: ExecCtx) -> bool:
+            return (math.isfinite(ctx.fuel)
+                    and all(type(env.get(n)) is k for n, k in types.items())
+                    and bool(cond(env, ctx)))
+
+        return runaway
 
     def _compile_return(self, s: ast.Return) -> StmtFn:
         if s.value is None:
@@ -678,6 +751,9 @@ _BINOPS: Dict[str, Callable] = {
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
 }
+
+#: a comparison with its operands swapped
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 _COMPOUND: Dict[str, Callable] = {
     "+=": lambda a, b: a + b,

@@ -94,10 +94,18 @@ class ExecCtx:
         accumulate — so straight-line code never pays the check.
         """
         if self.cost > self.fuel:
-            raise FuelExhausted(
-                f"execution exceeded the work budget ({int(self.fuel)} op units); "
-                "treating as a harness timeout"
-            )
+            self.exhaust_fuel()
+
+    def exhaust_fuel(self) -> None:
+        """Raise the work-budget timeout unconditionally.
+
+        The message depends only on ``fuel``, so a loop proven never to
+        exit can raise it at entry instead of spinning the budget away.
+        """
+        raise FuelExhausted(
+            f"execution exceeded the work budget ({int(self.fuel)} op units); "
+            "treating as a harness timeout"
+        )
 
     def charge_alloc(self, nbytes: float) -> None:
         """Charge an allocation against the memory budget.

@@ -19,8 +19,10 @@ defeat cross-run deduplication.
 
 ``assemble`` rebuilds the :class:`~repro.harness.evaluate.EvalRun` in
 *plan order* (bench prompt order, then sample index), independent of the
-order results arrived in, which is what makes a ``jobs=N`` run
-byte-identical to the serial loop.
+order results arrived in.  Both evaluation paths share this module: the
+in-process ``evaluate_model(jobs=1)`` and the pool in
+:mod:`repro.sched.scheduler` execute the same tasks, which is what makes
+a ``jobs=N`` run byte-identical to a ``jobs=1`` run.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from ..models.llm import SimulatedLLM
 KIND_SAMPLE = "sample"
 KIND_BASELINE = "baseline"
 
-#: detail strings are truncated to this many chars in SampleRecords,
-#: mirroring the serial loop in ``evaluate_model``
+#: detail strings are truncated to this many chars in SampleRecords
 DETAIL_LIMIT = 160
 
 

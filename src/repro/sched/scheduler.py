@@ -1,11 +1,12 @@
 """Orchestration: plan → (journal replay | cache hits | pool execution)
 → deterministic assembly.
 
-``run_scheduled`` is the parallel counterpart of the serial loop in
-:func:`repro.harness.evaluate.evaluate_model` and produces a
-byte-identical ``EvalRun`` for the same configuration: results are keyed
-by content-hash task id and reassembled in plan order, so neither worker
-count nor completion order can leak into the output.
+``run_scheduled`` runs the same plan as the in-process ``jobs=1`` path
+of :func:`repro.harness.evaluate.evaluate_model`, on a worker pool with
+journal and cache layers, and produces a byte-identical ``EvalRun`` for
+the same configuration: results are keyed by content-hash task id and
+reassembled in plan order, so neither worker count nor completion order
+can leak into the output.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .worker import (
 #: ``quarantined`` is deliberately NOT here — quarantine is a sticky
 #: verdict: it is journaled and replayed on resume, never re-executed.
 TRANSIENT_STATUSES = frozenset({"system_error"})
-_TRANSIENT_STATUSES = TRANSIENT_STATUSES
 
 
 def run_scheduled(
@@ -131,7 +131,7 @@ def run_scheduled(
                 spec = plan.tasks.get(task_id)
                 if spec is None:        # journal entry from a stale plan
                     continue
-                if str(payload.get("status", "")) in _TRANSIENT_STATUSES:
+                if str(payload.get("status", "")) in TRANSIENT_STATUSES:
                     continue            # infra failure: resample, not replay
                 results[task_id] = payload
                 sink(TaskFinished(
@@ -164,7 +164,7 @@ def run_scheduled(
 
         if remaining:
             def on_result(task_id: str, payload: dict) -> None:
-                if str(payload.get("status", "")) in _TRANSIENT_STATUSES:
+                if str(payload.get("status", "")) in TRANSIENT_STATUSES:
                     return              # never persist infra failures
                 if journal is not None:
                     journal.append(task_id, payload)

@@ -1,7 +1,9 @@
 """Harness-side worker functions for the scheduler pool.
 
-Both functions are module-level so they can cross a process boundary by
-reference.  Each worker rebuilds its own :class:`PCGBench` view and looks
+``execute_task`` is also the per-task step of the in-process
+``evaluate_model(jobs=1)`` path, which builds the same context from the
+caller's bench.  Both functions are module-level so they can cross a
+process boundary by reference.  Each worker rebuilds its own :class:`PCGBench` view and looks
 prompts up by uid — prompt/problem objects carry numpy closures and never
 travel through the task queue; only strings do.
 """

@@ -9,17 +9,17 @@ from repro.lang.errors import (
     DataRaceError,
     DeadlockError,
     FuelExhausted,
+    MemoryExhausted,
     MiniParError,
     MPIUsageError,
     RuntimeFailure,
-    SimTimeLimitExceeded,
     TrapError,
 )
 
 
 @pytest.mark.parametrize("exc,status", [
     (FuelExhausted("x"), "timeout"),
-    (SimTimeLimitExceeded("x"), "timeout"),
+    (MemoryExhausted("x"), "runtime_error"),
     (DataRaceError("x"), "runtime_error"),
     (DeadlockError("x"), "runtime_error"),
     (MPIUsageError("x"), "runtime_error"),

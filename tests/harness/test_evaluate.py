@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import PCGBench
 from repro.harness import EvalCache, EvalRun, Runner, evaluate_model
+from repro.harness.evaluate import PromptRecord, SampleRecord
 from repro.models import load_model
 
 
@@ -72,3 +73,62 @@ class TestCache:
         run = evaluate_model(load_model("CodeLlama-7B"), bench,
                              num_samples=50)
         assert run.num_samples == 2
+
+
+class TestSerialDedup:
+    """``jobs=1`` judges each distinct (source, prompt) once and fans the
+    verdict out to every slot that generated that source."""
+
+    SAMPLES = 8
+    SEED = 1
+
+    @pytest.fixture(scope="class")
+    def slice_(self):
+        # GPT-4 at T=0.2 repeats its top candidate: known duplicates
+        return (load_model("GPT-4"),
+                PCGBench(problem_types=["histogram"],
+                         models=["serial", "openmp"]))
+
+    def test_each_distinct_sample_judged_once(self, slice_, monkeypatch):
+        llm, bench = slice_
+        judged = []
+        real = Runner.evaluate_sample
+
+        def counting(self, source, prompt, *args, **kwargs):
+            judged.append((source, prompt.uid))
+            return real(self, source, prompt, *args, **kwargs)
+
+        monkeypatch.setattr(Runner, "evaluate_sample", counting)
+        progress = []
+        run = evaluate_model(llm, bench, num_samples=self.SAMPLES,
+                             temperature=0.2, seed=self.SEED,
+                             progress=progress.append)
+        distinct = {(s.source, p.uid) for p in bench.prompts
+                    for s in llm.generate(p, self.SAMPLES, 0.2, self.SEED)}
+        slots = sum(len(pr.samples) for pr in run.prompts.values())
+        assert len(distinct) < slots == self.SAMPLES * len(bench.prompts)
+        assert sorted(judged) == sorted(distinct)
+        assert progress == [p.uid for p in bench.prompts]
+
+    def test_matches_judging_every_slot(self, slice_):
+        """The digest equals a run that judges every slot on its own."""
+        llm, bench = slice_
+        runner = Runner()
+        reference = EvalRun(llm=llm.name, temperature=0.2,
+                            num_samples=self.SAMPLES, with_timing=False,
+                            seed=self.SEED)
+        for prompt in bench.prompts:
+            record = PromptRecord(uid=prompt.uid,
+                                  ptype=prompt.problem.ptype,
+                                  exec_model=prompt.model)
+            for sample in llm.generate(prompt, self.SAMPLES, 0.2,
+                                       self.SEED):
+                res = runner.evaluate_sample(sample.source, prompt)
+                record.samples.append(SampleRecord(
+                    status=res.status, intended=sample.intended,
+                    detail=res.detail[:160],
+                    diagnostics=[d.to_dict() for d in res.diagnostics]))
+            reference.prompts[prompt.uid] = record
+        run = evaluate_model(llm, bench, num_samples=self.SAMPLES,
+                             temperature=0.2, seed=self.SEED, runner=runner)
+        assert run.digest() == reference.digest()
