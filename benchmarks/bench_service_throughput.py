@@ -33,7 +33,7 @@ def _serve_burst(workdir, batching):
     """Push the burst through a fresh service; returns (wall_s, metrics)."""
 
     async def main():
-        service = EvalService(workdir, shards=2, jobs_per_shard=2,
+        service = EvalService(workdir, shards=1, jobs_per_shard=2,
                               sample_cache=False, batching=batching,
                               batch_window=0.2, max_batch=len(_BURST),
                               max_queue=len(_BURST))

@@ -104,7 +104,7 @@ def service_metrics_csv(snapshot: Dict[str, object]) -> str:
     for service-run dashboards.
 
     Nested dicts become dotted keys within their section (histogram
-    buckets, per-shard stats, profile cost totals); scalars land in the
+    buckets, worker-pool stats, profile cost totals); scalars land in the
     ``service`` section.  Purely mechanical so the CSV and JSON views
     can never disagree.
     """

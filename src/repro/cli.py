@@ -26,10 +26,10 @@ Commands
     Run MiniParSan (``repro.lint``) over one MiniPar source file, or over
     the whole handwritten baseline + solution corpus.  Exit status: 0
     when no ``definite`` diagnostics, 1 when any, 2 on a build error.
-``serve [--host H] [--port P] [--shards N] [--jobs N] [--queue N]``
+``serve [--host H] [--port P] [--jobs N] [--queue N]``
     Run the evaluation service (``docs/serving.md``): JSON over HTTP,
     micro-batched requests deduplicated across clients by content hash,
-    sharded worker pools with per-shard resume journals, bounded-queue
+    each batch run on one worker pool with a resume journal, bounded-queue
     admission control (429 + Retry-After on overload), and a
     ``/metrics`` endpoint.  ``--smoke`` starts the server, drives one
     request through a live socket, checks the digest, and exits —
@@ -55,11 +55,10 @@ every sample runs dynamically, as before the linter existed).
 interrupted pass from its JSONL journal (see ``docs/scheduler.md``).
 
 ``eval --dispatch {lpt,fifo}`` picks the scheduler's ready-queue
-policy and ``serve --dispatch {lpt,fifo}`` toggles cost-balanced shard
-partitions + the work-stealing board (``docs/scheduler.md``): ``lpt``
-dispatches longest-predicted-first from the durable duration ledger to
-cut makespan on skewed workloads; both policies produce byte-identical
-output.
+policy (``docs/scheduler.md``): ``lpt`` dispatches
+longest-predicted-first from the durable duration ledger to cut
+makespan on skewed workloads; both policies produce byte-identical
+output.  ``serve`` always dispatches ``lpt``.
 """
 
 from __future__ import annotations
@@ -385,12 +384,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     def _make_service() -> EvalService:
         return EvalService(
-            workdir=Path(args.workdir), shards=args.shards,
+            workdir=Path(args.workdir), shards=1,
             jobs_per_shard=args.jobs, max_queue=args.queue,
             batch_window=args.batch_window, max_batch=args.max_batch,
             batching=args.batching, vectorize=args.vectorize,
-            retry_after_cap=args.retry_after_cap,
-            dispatch=args.dispatch)
+            retry_after_cap=args.retry_after_cap)
 
     if args.smoke:
         return asyncio.run(_smoke())
@@ -400,8 +398,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         service = _make_service()
         print(f"repro serve: listening on {args.host}:{args.port} "
-              f"({args.shards} shards x {args.jobs} jobs, "
-              f"queue {args.queue})", file=sys.stderr)
+              f"({args.jobs} jobs, queue {args.queue})", file=sys.stderr)
         await serve_forever(service, args.host, args.port)
         return 0
 
@@ -558,10 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the async batched evaluation service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8752)
-    p.add_argument("--shards", type=_positive_int, default=2,
-                   help="worker pools the merged task set is split across")
-    p.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                   help="worker processes per shard")
+    p.add_argument("--jobs", "-j", type=_positive_int, default=2,
+                   help="worker processes in the pool each batch runs on")
     p.add_argument("--queue", type=_positive_int, default=64,
                    help="max in-flight requests before 429 rejections")
     p.add_argument("--batch-window", type=float, default=0.05,
@@ -575,13 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "rejections, seconds")
     p.add_argument("--no-vectorize", dest="vectorize", action="store_false",
                    help="scalar closure tier only (bit-identical, slower)")
-    p.add_argument("--dispatch", default="lpt", choices=["lpt", "fifo"],
-                   help="lpt = cost-balanced shard partitions + work-"
-                        "stealing board + longest-first pools (default); "
-                        "fifo = legacy hash partition, no stealing "
-                        "(byte-identical results either way)")
     p.add_argument("--workdir", default=".repro_serve",
-                   help="shard journals + sample cache directory")
+                   help="batch journal + sample cache directory")
     p.add_argument("--smoke", action="store_true",
                    help="start, run one request through a live socket, "
                         "verify, and exit (CI liveness check)")

@@ -27,9 +27,9 @@ properties as executable checks over a small fixed benchmark slice
    *profiled* ``EvalRun`` JSON, and turning profiling on never perturbs
    the statuses or times of the run it decorates.
 6. **serve-resilience** — the evaluation service (``repro.serve``)
-   survives a shard worker pool dying mid-request (``serve.shard.die``)
-   composed with worker kills: every shard resumes from its per-shard
-   journal and the served result stays byte-identical to a direct
+   survives its batch pool loop dying mid-request (``serve.batch.die``)
+   composed with worker kills: the batch resumes from its journal and
+   the served result stays byte-identical to a direct
    ``evaluate_model`` call.
 7. **vectorize-resilience** — the tier-2 numpy executor
    (``repro.runtime.vectorize``) composes with injection: under the
@@ -45,10 +45,9 @@ properties as executable checks over a small fixed benchmark slice
 9. **dispatch-resilience** — cost-predictive dispatch
    (``repro.sched.predict``) is throughput policy only: both dispatch
    policies (``lpt``/``fifo``) reproduce the serial reference byte for
-   byte, and a warm duration ledger composed with shard deaths
-   and worker kills inside the service (LPT shard balancing + the
-   work-stealing board under ``serve.shard.die``) still serves the
-   byte-identical run.
+   byte, and a warm duration ledger composed with batch pool-loop
+   deaths and worker kills inside the service (LPT pool dispatch under
+   ``serve.batch.die``) still serves the byte-identical run.
 
 ``repro chaos`` runs all nine from the command line; the CI ``chaos``
 and ``chaos-guard`` jobs and ``tests/faults/test_chaos.py`` pin them as
@@ -254,14 +253,14 @@ def check_kill_resume(workdir: Union[str, Path],
 
 def check_serve_resilience(workdir: Union[str, Path],
                            jobs: int = 2) -> ChaosReport:
-    """Shard deaths + worker kills inside the service still serve the
-    byte-identical run.
+    """Batch pool-loop deaths + worker kills inside the service still
+    serve the byte-identical run.
 
     One request is pushed through an in-process :class:`EvalService`
     under a plan that (a) hard-kills every task's first worker attempt
-    and (b) aborts each shard's pool loop right after its first task
-    finishes (``serve.shard.die``, once per shard).  The shard runners
-    must resume from their per-shard journals, and the served
+    and (b) aborts the batch's pool loop right after its first task
+    executes (``serve.batch.die``, once).  The batch must resume from
+    its journal, and the served
     ``EvalRun`` must match a direct fault-free ``evaluate_model`` call
     byte for byte — the differential guarantee under maximum
     infrastructure hostility.
@@ -275,7 +274,7 @@ def check_serve_resilience(workdir: Union[str, Path],
     reference = _eval(llm, bench)
     plan = FaultPlan(rules=(
         FaultRule(point="sched.worker.kill", action="kill", match="#a0"),
-        FaultRule(point="serve.shard.die", action="abort",
+        FaultRule(point="serve.batch.die", action="abort",
                   occurrences=(0,)),
     ), seed=0)
     request = EvalRequest(model=CHAOS_LLM, ptypes=CHAOS_PTYPES,
@@ -283,7 +282,7 @@ def check_serve_resilience(workdir: Union[str, Path],
                           seed=CHAOS_SEED)
 
     async def _serve_once() -> Tuple[EvalRun, dict]:
-        service = EvalService(Path(workdir), shards=2, jobs_per_shard=jobs,
+        service = EvalService(Path(workdir), shards=1, jobs_per_shard=jobs,
                               sample_cache=False)
         await service.start()
         try:
@@ -296,17 +295,18 @@ def check_serve_resilience(workdir: Union[str, Path],
         served, snap = asyncio.run(_serve_once())
     if served.to_json() != reference.to_json():
         return ChaosReport("serve-resilience", False,
-                           "served run under shard deaths + worker kills "
+                           "served run under batch deaths + worker kills "
                            "diverged from direct evaluation")
-    if snap["shard_restarts"] < 1:
+    if snap["batch_restarts"] < 1:
         return ChaosReport("serve-resilience", False,
-                           "the shard-death fault never fired "
-                           "(shard_restarts == 0); the invariant is vacuous")
+                           "the batch-death fault never fired "
+                           "(batch_restarts == 0); the invariant is vacuous")
     return ChaosReport(
         "serve-resilience", True,
-        f"{snap['shard_restarts']} shard deaths and every first worker "
-        f"attempt killed; {snap['tasks_from_journal']} tasks resumed from "
-        "per-shard journals and the served run matches direct evaluation")
+        f"{snap['batch_restarts']} batch pool-loop deaths and every first "
+        f"worker attempt killed; {snap['tasks_from_journal']} tasks resumed "
+        "from the batch journal and the served run matches direct "
+        "evaluation")
 
 
 def check_vectorize_resilience(seed: int = 11) -> ChaosReport:
@@ -457,12 +457,11 @@ def check_dispatch_resilience(workdir: Union[str, Path],
       for byte: the ready-queue order and the duration predictions
       behind it cannot leak into the ``EvalRun``.
     * **warm-ledger survivability** — a ledger warmed by a prior run
-      drives LPT shard balancing and the work-stealing board inside the
-      service while every task's first worker attempt is killed and
-      each shard's pool loop dies once (``serve.shard.die``); the served
-      run must still match the reference, with the ledger demonstrably
-      consulted (non-vacuity: ``ledger_predictions > 0`` and at least
-      one shard restart).
+      drives LPT pool dispatch inside the service while every task's
+      first worker attempt is killed and the batch's pool loop dies once
+      (``serve.batch.die``); the served run must still match the
+      reference, with the ledger demonstrably consulted (non-vacuity:
+      ``ledger_predictions >= 1`` and ``batch_restarts >= 1``).
     """
     import asyncio
 
@@ -482,7 +481,7 @@ def check_dispatch_resilience(workdir: Union[str, Path],
                 f"dispatch policy {policy!r} perturbed the EvalRun")
 
     # (b) warm the service's ledger with a direct scheduled run, then
-    # serve the same request under shard deaths + worker kills
+    # serve the same request under batch deaths + worker kills
     serve_dir = Path(workdir)
     serve_dir.mkdir(parents=True, exist_ok=True)
     warm_run, _ = run_scheduled(
@@ -495,7 +494,7 @@ def check_dispatch_resilience(workdir: Union[str, Path],
                            "reference")
     plan = FaultPlan(rules=(
         FaultRule(point="sched.worker.kill", action="kill", match="#a0"),
-        FaultRule(point="serve.shard.die", action="abort",
+        FaultRule(point="serve.batch.die", action="abort",
                   occurrences=(0,)),
     ), seed=0)
     request = EvalRequest(model=CHAOS_LLM, ptypes=CHAOS_PTYPES,
@@ -503,8 +502,8 @@ def check_dispatch_resilience(workdir: Union[str, Path],
                           seed=CHAOS_SEED)
 
     async def _serve_once() -> Tuple[EvalRun, dict]:
-        service = EvalService(serve_dir, shards=2, jobs_per_shard=jobs,
-                              sample_cache=False, dispatch="lpt")
+        service = EvalService(serve_dir, shards=1, jobs_per_shard=jobs,
+                              sample_cache=False)
         await service.start()
         try:
             run = await ServiceClient(service).evaluate(request)
@@ -516,12 +515,12 @@ def check_dispatch_resilience(workdir: Union[str, Path],
         served, snap = asyncio.run(_serve_once())
     if served.to_json() != reference.to_json():
         return ChaosReport("dispatch-resilience", False,
-                           "warm-ledger LPT serving under shard deaths + "
+                           "warm-ledger LPT serving under batch deaths + "
                            "worker kills diverged from direct evaluation")
-    if snap["shard_restarts"] < 1:
+    if snap["batch_restarts"] < 1:
         return ChaosReport("dispatch-resilience", False,
-                           "the shard-death fault never fired "
-                           "(shard_restarts == 0); the invariant is vacuous")
+                           "the batch-death fault never fired "
+                           "(batch_restarts == 0); the invariant is vacuous")
     if snap["ledger_predictions"] < 1:
         return ChaosReport("dispatch-resilience", False,
                            "the warmed ledger was never consulted "
@@ -530,7 +529,7 @@ def check_dispatch_resilience(workdir: Union[str, Path],
     return ChaosReport(
         "dispatch-resilience", True,
         "both dispatch policies byte-identical; warm-ledger LPT "
-        f"serving survived {snap['shard_restarts']} shard death(s) with "
+        f"serving survived {snap['batch_restarts']} batch death(s) with "
         f"{snap['ledger_predictions']} ledger-predicted tasks "
         f"(hit rate {snap['ledger_hit_rate']:.2f}, MAE "
         f"{snap['pred_mae_seconds']:.3f}s) and matches direct evaluation")

@@ -70,12 +70,12 @@ INJECTION_POINTS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "sched.cache.bitflip": (
         "sched", ("bitflip",),
         "flip one byte of a sample-cache entry on write"),
-    "serve.shard.die": (
+    "serve.batch.die": (
         "serve", ("abort",),
-        "abort one service shard's pool loop right after a task finishes "
-        "(the journal already holds it — journal-then-notify); the shard "
-        "runner must recover by resuming from its per-shard journal; "
-        "keys look like 'shard<N>'"),
+        "abort a service batch's pool loop right after a task executes "
+        "(the journal already holds it — journal-then-notify); the batch "
+        "must recover by resuming from its batch journal; the key is "
+        "'batch'"),
     "guard.process.kill": (
         "guard", ("kill",),
         "SIGKILL the whole scheduler process at one event boundary (the "

@@ -1,9 +1,8 @@
 """repro.guard — self-healing supervision for scheduled evaluation.
 
-Three mechanisms, threaded through :mod:`repro.sched` and
-:mod:`repro.serve`, all bound by the same exactness discipline as the
-vectorized tier: *none of them may change a single byte of the
-assembled* :class:`~repro.harness.evaluate.EvalRun` *relative to an
+Two mechanisms, threaded through :mod:`repro.sched`, both bound by the
+same exactness discipline as the vectorized tier: *neither may change a
+single byte of the assembled* :class:`~repro.harness.evaluate.EvalRun` *relative to an
 unguarded run* — except the quarantine lane, which exists precisely to
 report a task the infrastructure refuses to keep executing.
 
@@ -11,10 +10,6 @@ report a task the infrastructure refuses to keep executing.
   task: a task that kills ``poison_threshold`` *distinct* workers is
   poison, not unlucky, and is quarantined instead of burning the retry
   budget forever.
-* :class:`CircuitBreaker` / :class:`BreakerBoard` (``breaker``) —
-  per-shard breakers for :mod:`repro.serve`: consecutive shard failures
-  trip a breaker, work routes to surviving shards, and a count-based
-  cool-down schedules a deterministic half-open probe.
 * :func:`run_supervised` (``supervisor``) — crash-only recovery: a
   child process running the scheduler can be SIGKILLed at any event
   boundary (``guard.process.kill``) and restarted until the journaled
@@ -25,13 +20,6 @@ guarantee; the ``guard-resilience`` chaos invariant
 (:func:`repro.faults.chaos.check_guard_resilience`) pins it in CI.
 """
 
-from .breaker import (
-    BreakerBoard,
-    CircuitBreaker,
-    STATE_CLOSED,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
-)
 from .health import (
     DEFAULT_POLICY,
     GuardPolicy,
@@ -42,14 +30,9 @@ from .health import (
 from .supervisor import SupervisedResult, crash_resume_sweep, run_supervised
 
 __all__ = [
-    "BreakerBoard",
-    "CircuitBreaker",
     "DEFAULT_POLICY",
     "GuardPolicy",
     "HealthLedger",
-    "STATE_CLOSED",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
     "SupervisedResult",
     "VERDICT_POISON",
     "VERDICT_TRANSIENT",

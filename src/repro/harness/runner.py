@@ -39,7 +39,8 @@ during the attempt — or an explicit :class:`FaultInjected` with
 Transient failures are retried with bounded exponential backoff
 (``transient_retries`` attempts, ``retry_backoff`` initial delay);
 deterministic failures are returned immediately.  Without an injector the
-pipeline is byte-for-byte the pre-resilience fast path.
+same code makes one attempt, computes no scope digest and enters no fault
+scope.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -481,50 +483,39 @@ class Runner:
     def evaluate_sample(self, source: str, prompt: Prompt,
                         with_timing: bool = False,
                         profile: bool = False) -> RunResult:
-        if inject.ACTIVE is None:
-            # the fast path: identical to the pre-resilience pipeline
-            stats = VecStats()
-            result, program = self._correct_phase(source, prompt,
-                                                  vec_stats=stats)
-            if result.status == "correct" and with_timing:
-                if profile:
-                    result.times, result.profile = self.measure_profiled(
-                        program, prompt, vec_stats=stats)
-                else:
-                    result.times = self.measure(program, prompt,
-                                                vec_stats=stats)
-            result.vec = stats.as_dict(self.vectorize)
-            return result
-        return self._evaluate_resilient(source, prompt, with_timing, profile)
+        """The per-sample pipeline: compile, screen, check, then time.
 
-    def _evaluate_resilient(self, source: str, prompt: Prompt,
-                            with_timing: bool,
-                            profile: bool = False) -> RunResult:
-        """``evaluate_sample`` under an installed fault injector.
-
-        Each attempt runs in a fault scope named after the *sample* (not
-        the attempt), so occurrence counters persist across retries: a
-        single-occurrence fault consumed by attempt 0 will not re-fire on
-        attempt 1, which is exactly how a transient infrastructure fault
-        behaves.  Failures are retried (with bounded exponential backoff)
-        only when the injector actually fired during the attempt or the
-        fault announced itself as transient; a clean failure is the
-        sample's own and is returned immediately.
+        With no fault injector installed this is one attempt that enters
+        no fault scope.  Under an installed injector, each attempt runs
+        in a fault scope named after the *sample* (not the attempt), so
+        occurrence counters persist across retries: a single-occurrence
+        fault consumed by attempt 0 will not re-fire on attempt 1, which
+        is exactly how a transient infrastructure fault behaves.
+        Failures are retried (with bounded exponential backoff) only
+        when the injector actually fired during the attempt or the fault
+        announced itself as transient; a clean failure is the sample's
+        own and is returned immediately.
         """
         inj = inject.ACTIVE
-        digest = hashlib.sha256(source.encode()).hexdigest()[:12]
-        scope_name = f"{prompt.uid}/{digest}"
+        if inj is not None:
+            digest = hashlib.sha256(source.encode()).hexdigest()[:12]
+            scope_name = f"{prompt.uid}/{digest}"
+
+        def fired() -> int:
+            return inj.scope_fired() if inj is not None else 0
+
         delay = self.retry_backoff
         last_detail = ""
         for attempt in range(self.transient_retries + 1):
             # fresh counters per attempt: a retried attempt re-runs every
             # loop, and the record should describe the attempt it kept
             stats = VecStats()
-            with inj.scope(scope_name):
-                fired_before = inj.scope_fired()
+            with (inj.scope(scope_name) if inj is not None
+                  else nullcontext()):
+                fired_before = fired()
                 try:
-                    rule = inj.fire("harness.flake", "attempt")
-                    if rule is not None:
+                    if inj is not None and inj.fire(
+                            "harness.flake", "attempt") is not None:
                         raise FaultInjected(
                             "harness.flake",
                             "injected harness infrastructure flake")
@@ -537,9 +528,8 @@ class Runner:
                         delay *= 2
                         continue
                     break
-                fired = inj.scope_fired() - fired_before
-                if fired and result.status not in ("correct", "build_error",
-                                                   "static_fail"):
+                if fired() > fired_before and result.status not in (
+                        "correct", "build_error", "static_fail"):
                     # the attempt was fault-perturbed and failed: treat
                     # the failure as transient infrastructure, not the
                     # sample's own defect
@@ -554,10 +544,11 @@ class Runner:
                     result.vec = stats.as_dict(self.vectorize)
                     return result
                 # timing phase: faults here degrade rather than discard
-                timing_fired = inj.scope_fired()
+                timing_fired = fired()
                 sweep_prof: Optional[Profile] = None
                 try:
-                    rule = inj.fire("harness.timing", "sweep")
+                    rule = (inj.fire("harness.timing", "sweep")
+                            if inj is not None else None)
                     if rule is not None:
                         times: Optional[Dict[int, float]] = {}
                     elif profile:
@@ -569,7 +560,7 @@ class Runner:
                 except FaultInjected:
                     rule, times = None, None
                 if rule is not None or times is None \
-                        or inj.scope_fired() > timing_fired:
+                        or fired() > timing_fired:
                     result.status = "degraded"
                     result.detail = ("timing sweep fault-perturbed; "
                                      "correctness-only record")

@@ -44,7 +44,6 @@ from .plan import (
     build_plan,
     runner_fingerprint,
     sample_task_id,
-    shard_for,
 )
 from .pool import WorkerPool
 from .predict import (
@@ -69,7 +68,7 @@ __all__ = [
     # plan
     "Plan", "PromptPlan", "SampleSlot", "TaskSpec", "build_plan", "assemble",
     "sample_task_id", "baseline_task_id", "runner_fingerprint", "bench_spec",
-    "shard_for", "KIND_SAMPLE", "KIND_BASELINE",
+    "KIND_SAMPLE", "KIND_BASELINE",
     # pool + worker
     "WorkerPool", "init_harness", "execute_task", "failure_payload",
     "quarantine_payload",

@@ -217,36 +217,6 @@ class Telemetry:
         elif isinstance(event, RunFinished):
             self.wall_seconds = event.wall_seconds
 
-    def merge(self, other: "Telemetry") -> None:
-        """Fold another Telemetry into this one (e.g. per-shard sinks of a
-        sharded run merged into the run-level aggregate)."""
-        for key, val in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + val
-        for key, val in other.statuses.items():
-            self.statuses[key] = self.statuses.get(key, 0) + val
-        self.diagnostics += other.diagnostics
-        self.provenance.update(other.provenance)
-        for stage, seconds in other.stage_seconds.items():
-            self.stage_seconds[stage] = \
-                self.stage_seconds.get(stage, 0.0) + seconds
-        self.busy_seconds += other.busy_seconds
-        self.crashes += other.crashes
-        self.infra_timeouts += other.infra_timeouts
-        self.retries += other.retries
-        self.vec_bulk_loops += other.vec_bulk_loops
-        self.vec_bulk_iters += other.vec_bulk_iters
-        self.vec_fallbacks += other.vec_fallbacks
-        self.compile_cache_hits += other.compile_cache_hits
-        self.compile_cache_misses += other.compile_cache_misses
-        self.ledger_predictions += other.ledger_predictions
-        self.estimator_predictions += other.estimator_predictions
-        self.pred_samples += other.pred_samples
-        self.pred_abs_err_seconds += other.pred_abs_err_seconds
-        self.workers += other.workers
-        self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
-        if self.keep_events:
-            self.events.extend(other.events)
-
     # -- derived views -------------------------------------------------------
 
     @property

@@ -84,19 +84,6 @@ def baseline_task_id(problem_name: str, fingerprint: str) -> str:
     return digest.hexdigest()
 
 
-def shard_for(task_id: str, shards: int) -> int:
-    """Deterministic shard assignment from a content-hash task id.
-
-    The leading hex digits are already uniformly distributed, so the
-    shard of a task is a pure function of its identity — two requests
-    that share a task always route it to the same shard, which is what
-    lets per-shard journals resume work started by an earlier attempt.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return int(task_id[:8], 16) % shards
-
-
 @dataclass(frozen=True)
 class TaskSpec:
     """One unit of work a pool worker can execute in isolation."""

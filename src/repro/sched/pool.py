@@ -21,7 +21,7 @@ Fault model (the part a naive ``multiprocessing.Pool`` gets wrong):
   (the task, not the machine, is what kills workers) and is moved to the
   ``quarantined`` lane by the :class:`~repro.guard.health.HealthLedger`
   instead of burning budget forever;
-* repeated crashes trip a circuit breaker (``max_crashes``) that fails
+* repeated crashes exhaust a crash budget (``max_crashes``) that fails
   the remaining tasks instead of respawning forever.
 
 Results are reported through ``on_result`` *before* the corresponding
@@ -202,7 +202,6 @@ class WorkerPool:
             on_result: Optional[Callable[[str, dict], None]] = None,
             progress_total: Optional[int] = None,
             predictions: Optional[Dict[str, Tuple[float, str]]] = None,
-            feed: Optional[Callable[[], Optional[Tuple[str, dict]]]] = None,
             on_drain: Optional[Callable[[], None]] = None,
             ) -> Tuple[Dict[str, dict], Dict[str, str]]:
         """Execute ``tasks``; returns ``(results, failures)``.
@@ -218,14 +217,9 @@ class WorkerPool:
         (:func:`repro.sched.predict.order_tasks`); the pool preserves
         that order for fresh work.  ``predictions`` (task id →
         ``(value, provenance)``) decorate ``TaskFinished`` events so
-        predicted-vs-actual error is observable.  ``feed``,
-        when given, is a pull source consulted whenever local queues
-        run dry — it returns ``(task_id, payload)`` or ``None`` for
-        "nothing right now" (work stealing re-consults it every cycle);
-        the run ends when the feed is dry *and* every known task is
-        settled.  ``on_drain`` fires once per drain cycle — when the
-        result channel goes momentarily quiet — and is the journal's
-        group-commit hook.
+        predicted-vs-actual error is observable.  ``on_drain`` fires
+        once per drain cycle — when the result channel goes momentarily
+        quiet — and is the journal's group-commit hook.
         """
         payloads: Dict[str, dict] = dict(tasks)
         total = len(payloads)
@@ -234,7 +228,7 @@ class WorkerPool:
         progress_base = progress_total - total
         results: Dict[str, dict] = {}
         failures: Dict[str, str] = {}
-        if total == 0 and feed is None:
+        if total == 0:
             return results, failures
 
         task_q = self._ctx.Queue(maxsize=self.queue_bound + 1)
@@ -250,8 +244,6 @@ class WorkerPool:
         ledger = HealthLedger(self.guard.poison_threshold)
         procs: Dict[int, mp.process.BaseProcess] = {}
         crashes = 0
-        feed_open = feed is not None    # crash-budget bail closes the feed
-        feed_dry = False                # last pull returned None
         last_message = time.monotonic()
 
         for wid in range(self.jobs):
@@ -273,29 +265,8 @@ class WorkerPool:
             outstanding.add(tid)
             return True
 
-        def pull_feed() -> bool:
-            """Claim one task from the feed into ``pending``; False when
-            the feed has nothing right now."""
-            nonlocal feed_dry
-            item = feed()
-            if item is None:
-                feed_dry = True
-                return False
-            feed_dry = False
-            tid, payload = item
-            if tid not in payloads:
-                payloads[tid] = payload
-                attempts[tid] = 0
-                fails[tid] = 0
-            if not settled(tid):
-                pending.append(tid)
-            return True
-
         def fill_queue() -> None:
             while len(outstanding) < self.queue_bound:
-                if not pending and not retries and feed_open:
-                    if not pull_feed():
-                        return
                 source = pending if pending else retries
                 if not source:
                     return
@@ -358,9 +329,7 @@ class WorkerPool:
                     record_quarantine(tid, detail)
                 else:
                     copy_failed(tid, detail)
-            if crashes <= self.max_crashes \
-                    and (finished() < len(payloads)
-                         or (feed_open and not feed_dry)):
+            if crashes <= self.max_crashes and finished() < total:
                 procs[next_wid] = self._spawn(next_wid, task_q, result_q)
                 self.emit(WorkerReplaced(old_worker=wid,
                                          new_worker=next_wid))
@@ -369,18 +338,15 @@ class WorkerPool:
         def snapshot() -> None:
             self.emit(ProgressSnapshot(
                 done=finished() + progress_base,
-                total=max(progress_total, len(payloads) + progress_base),
+                total=progress_total,
                 queue_depth=len(outstanding), busy_workers=len(running),
                 workers=len(procs)))
 
         try:
             while True:
                 fill_queue()
-                if finished() >= len(payloads):
-                    # all known work settled; a feed may still hold more
-                    if not feed_open or not pull_feed():
-                        break
-                    continue
+                if finished() >= total:
+                    break
                 message = _poll_result(result_q, _POLL)
                 now = time.monotonic()
                 if message is not None:
@@ -458,7 +424,6 @@ class WorkerPool:
                                  "unlike a fuel-budget sample timeout)",
                             kind="timeout")
                 if crashes > self.max_crashes:
-                    feed_open = False   # unclaimed feed work stays put
                     for tid in list(outstanding) + list(pending) \
                             + list(retries):
                         if not settled(tid):

@@ -101,7 +101,7 @@ class DurationLedger:
     One JSONL observation per line (``{"k": key, "d": seconds}``), plus
     optional ``{"kind": "summary", ...}`` records written by compaction.
     Appends are buffered and written as whole lines in a single
-    ``write`` call, so concurrent appenders (shard threads, parallel
+    ``write`` call, so concurrent appenders (service batches, parallel
     runs sharing a cache directory) interleave at line granularity and
     a torn tail from a killed process is skipped on the next load —
     losing buffered observations only costs prediction accuracy, never
@@ -278,10 +278,9 @@ class CostEstimator:
 
     The output unit is arbitrary ("cost units", roughly milliseconds of
     a plain untimed sample): estimates are only ever compared with each
-    other to *order* a ready queue or balance shard bins, so only the
-    ranking matters.  Estimator values are flagged ``estimator`` on
-    events and excluded from the seconds-denominated prediction-error
-    telemetry.
+    other to *order* a ready queue, so only the ranking matters.
+    Estimator values are flagged ``estimator`` on events and excluded
+    from the seconds-denominated prediction-error telemetry.
     """
 
     def __init__(self, runner: Optional[Runner] = None):

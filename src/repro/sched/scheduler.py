@@ -1,6 +1,10 @@
 """Orchestration: plan → (journal replay | cache hits | pool execution)
 → deterministic assembly.
 
+:func:`execute_tasks` is the one task-set executor: cache hits, then a
+worker pool with journal-then-notify persistence.  ``run_scheduled``
+and the service (:mod:`repro.serve.service`) both drive it.
+
 ``run_scheduled`` runs the same plan as the in-process ``jobs=1`` path
 of :func:`repro.harness.evaluate.evaluate_model`, on a worker pool with
 journal and cache layers, and produces a byte-identical ``EvalRun`` for
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..bench.registry import PCGBench
 from ..harness.evaluate import EvalRun, effective_samples
@@ -31,7 +35,7 @@ from .events import (
     chain,
 )
 from .journal import Journal, SampleCache
-from .plan import assemble, build_plan
+from .plan import TaskSpec, assemble, build_plan
 from .pool import WorkerPool
 from .predict import (
     DISPATCH_LPT,
@@ -54,6 +58,102 @@ from .worker import (
 #: ``quarantined`` is deliberately NOT here — quarantine is a sticky
 #: verdict: it is journaled and replayed on resume, never re-executed.
 TRANSIENT_STATUSES = frozenset({"system_error"})
+
+
+def replay_journal(journal: Journal, run_key: str,
+                   tasks: Dict[str, TaskSpec], results: Dict[str, dict],
+                   sink: EmitFn) -> None:
+    """Settle ``tasks`` from ``journal``'s records for ``run_key``.
+
+    Records for unknown tasks (a stale plan) and transient statuses
+    (infrastructure failures, to be resampled) are skipped, as are tasks
+    ``results`` already holds."""
+    for task_id, payload in journal.load(run_key).items():
+        spec = tasks.get(task_id)
+        status = str(payload.get("status", ""))
+        if (spec is None or task_id in results
+                or status in TRANSIENT_STATUSES):
+            continue
+        results[task_id] = payload
+        sink(TaskFinished(
+            task_id=task_id, kind=spec.kind, source=SOURCE_JOURNAL,
+            status=status,
+            diagnostics=len(payload.get("diagnostics") or ())))
+
+
+def execute_tasks(tasks: Dict[str, TaskSpec], results: Dict[str, dict],
+                  runner: Runner, ptypes: Tuple[str, ...],
+                  models: Tuple[str, ...], sink: EmitFn,
+                  jobs: int = 1,
+                  journal: Optional[Journal] = None,
+                  cache: Optional[SampleCache] = None,
+                  dispatch: str = DISPATCH_LPT,
+                  predictions: Optional[Dict[str, Tuple[float, str]]] = None,
+                  task_timeout: Optional[float] = 300.0,
+                  max_retries: int = 2,
+                  progress_total: Optional[int] = None,
+                  on_drain: Optional[Callable[[], None]] = None
+                  ) -> Dict[str, str]:
+    """Settle every task in ``tasks`` that ``results`` does not hold yet.
+
+    Sample-cache hits settle first; the rest run on one
+    :class:`~repro.sched.pool.WorkerPool` in ``dispatch`` order.  Each
+    settled payload lands in ``results`` (updated in place) and, unless
+    its status is transient, in ``journal`` and ``cache`` before its
+    event reaches ``sink`` (journal-then-notify).  The journal is
+    group-committed once per drain cycle, then ``on_drain`` runs.
+
+    Returns the pool's failures: task id -> last error, for tasks that
+    exhausted their retry budget.  If the pool loop itself dies, the
+    exception propagates and ``journal`` still holds every task it
+    reported, so the caller can replay it and call again.
+    """
+    remaining = []
+    for task_id, spec in tasks.items():
+        if task_id in results:
+            continue
+        hit = cache.get(task_id) if cache is not None else None
+        if hit is None:
+            remaining.append(task_id)
+            continue
+        results[task_id] = hit
+        if journal is not None:
+            journal.append(task_id, hit)
+        sink(TaskFinished(
+            task_id=task_id, kind=spec.kind, source=SOURCE_CACHE,
+            status=str(hit.get("status", "")),
+            diagnostics=len(hit.get("diagnostics") or ())))
+    if not remaining:
+        return {}
+    # throughput-only reordering: assemble() rebuilds in plan order
+    remaining = order_tasks(remaining, dispatch, predictions)
+
+    def on_result(task_id: str, payload: dict) -> None:
+        if str(payload.get("status", "")) in TRANSIENT_STATUSES:
+            return                      # never persist infra failures
+        if journal is not None:
+            journal.append(task_id, payload)
+        if cache is not None:
+            cache.put(task_id, payload)
+
+    def drained() -> None:
+        # one fsync per drain cycle instead of one per record
+        if journal is not None:
+            journal.commit()
+        if on_drain is not None:
+            on_drain()
+
+    pool = WorkerPool(
+        jobs=jobs, work_fn=execute_task, init_fn=init_harness,
+        init_args=(runner, tuple(ptypes), tuple(models)),
+        task_timeout=task_timeout, max_retries=max_retries,
+        emit=sink, validate=valid_result, quarantine=quarantine_payload)
+    executed, failures = pool.run(
+        [(tid, tasks[tid].payload()) for tid in remaining],
+        on_result=on_result, progress_total=progress_total,
+        predictions=predictions, on_drain=drained)
+    results.update(executed)
+    return failures
 
 
 def run_scheduled(
@@ -126,74 +226,22 @@ def run_scheduled(
     results: dict = {}
     journal = Journal(journal_path) if journal_path is not None else None
     try:
-        if journal is not None and resume:
-            for task_id, payload in journal.load(run_key).items():
-                spec = plan.tasks.get(task_id)
-                if spec is None:        # journal entry from a stale plan
-                    continue
-                if str(payload.get("status", "")) in TRANSIENT_STATUSES:
-                    continue            # infra failure: resample, not replay
-                results[task_id] = payload
-                sink(TaskFinished(
-                    task_id=task_id, kind=spec.kind, source=SOURCE_JOURNAL,
-                    status=str(payload.get("status", "")),
-                    diagnostics=len(payload.get("diagnostics") or ())))
         if journal is not None:
+            if resume:
+                replay_journal(journal, run_key, plan.tasks, results, sink)
             journal.start(run_key, fresh=not resume)
-
-        cache = (SampleCache(sample_cache_dir)
-                 if sample_cache_dir is not None else None)
-        remaining = []
-        for task_id, spec in plan.tasks.items():
-            if task_id in results:
-                continue
-            if cache is not None:
-                hit = cache.get(task_id)
-                if hit is not None:
-                    results[task_id] = hit
-                    if journal is not None:
-                        journal.append(task_id, hit)
-                    sink(TaskFinished(
-                        task_id=task_id, kind=spec.kind, source=SOURCE_CACHE,
-                        status=str(hit.get("status", "")),
-                        diagnostics=len(hit.get("diagnostics") or ())))
-                    continue
-            remaining.append(task_id)
-        # throughput-only reordering: assemble() rebuilds in plan order
-        remaining = order_tasks(remaining, dispatch, predictions)
-
-        if remaining:
-            def on_result(task_id: str, payload: dict) -> None:
-                if str(payload.get("status", "")) in TRANSIENT_STATUSES:
-                    return              # never persist infra failures
-                if journal is not None:
-                    journal.append(task_id, payload)
-                if cache is not None:
-                    cache.put(task_id, payload)
-
-            def on_drain() -> None:
-                # one fsync per drain cycle instead of one per record
-                if journal is not None:
-                    journal.commit()
-                if ledger is not None:
-                    ledger.flush()
-
-            pool = WorkerPool(
-                jobs=jobs, work_fn=execute_task, init_fn=init_harness,
-                init_args=(runner, plan.bench_ptypes, plan.bench_models),
-                task_timeout=task_timeout, max_retries=max_retries,
-                emit=sink, validate=valid_result,
-                quarantine=quarantine_payload)
-            executed, failures = pool.run(
-                [(tid, plan.tasks[tid].payload()) for tid in remaining],
-                on_result=on_result,
-                progress_total=len(plan.tasks),
-                predictions=predictions,
-                on_drain=on_drain)
-            results.update(executed)
-            for task_id, detail in failures.items():
-                results[task_id] = failure_payload(
-                    plan.tasks[task_id].kind, detail)
+        failures = execute_tasks(
+            plan.tasks, results, runner, plan.bench_ptypes,
+            plan.bench_models, sink, jobs=jobs, journal=journal,
+            cache=(SampleCache(sample_cache_dir)
+                   if sample_cache_dir is not None else None),
+            dispatch=dispatch, predictions=predictions,
+            task_timeout=task_timeout, max_retries=max_retries,
+            progress_total=len(plan.tasks),
+            on_drain=ledger.flush if ledger is not None else None)
+        for task_id, detail in failures.items():
+            results[task_id] = failure_payload(plan.tasks[task_id].kind,
+                                               detail)
         sink(StageFinished(stage="execute", seconds=time.monotonic() - stage))
 
         stage = time.monotonic()

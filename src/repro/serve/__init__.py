@@ -1,17 +1,16 @@
-"""repro.serve — async batched evaluation service over sharded pools.
+"""repro.serve — async batched evaluation service.
 
 The serving layer turns the batch evaluation pipeline into a long-lived
 service: clients submit evaluation requests (model, benchmark slice,
 samples, seed), concurrent requests are micro-batched into one shared
 job graph with cross-request content deduplication, the merged task set
-is sharded across worker pools with per-shard resume journals, and each
-request's result is reassembled byte-identical to what a direct
-``evaluate_model`` call would have produced.  See ``docs/serving.md``.
+runs on one worker pool with a batch resume journal, and each request's
+result is reassembled byte-identical to what a direct ``evaluate_model``
+call would have produced.  See ``docs/serving.md``.
 """
 
 from .batcher import (
     batch_key,
-    partition_tasks,
     plan_batch,
     plan_request,
     union_tasks,
@@ -26,7 +25,6 @@ from .service import (
     RequestTicket,
     ServiceClosed,
 )
-from .shards import ShardResult, TaskBoard, run_shard
 
 __all__ = [
     "EvalRequest",
@@ -40,14 +38,10 @@ __all__ = [
     "ServiceClient",
     "ServiceClosed",
     "ServiceMetrics",
-    "ShardResult",
-    "TaskBoard",
     "batch_key",
     "http_request",
-    "partition_tasks",
     "plan_batch",
     "plan_request",
-    "run_shard",
     "serve_forever",
     "union_tasks",
 ]

@@ -16,13 +16,13 @@ only routes them.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..bench.registry import PCGBench
 from ..harness.evaluate import effective_samples
 from ..harness.runner import Runner
 from ..models import load_model
-from ..sched.plan import Plan, TaskSpec, build_plan, shard_for
+from ..sched.plan import Plan, TaskSpec, build_plan
 
 
 def plan_request(request, runner: Runner) -> Plan:
@@ -63,49 +63,10 @@ def union_tasks(plans: Sequence[Plan]) -> Dict[str, TaskSpec]:
     return union
 
 
-def partition_tasks(union: Dict[str, TaskSpec], shards: int,
-                    predictions: Optional[Dict[str, Tuple[float, str]]] = None
-                    ) -> List[Dict[str, TaskSpec]]:
-    """Split the merged task set across shards.
-
-    Without ``predictions`` this is the legacy hash partition — uniform
-    in *count* but oblivious to cost, so one shard can draw every timed
-    sweep while its siblings drain trivial compile failures.  With
-    ``predictions`` (task id → ``(cost, provenance)``, from
-    :func:`repro.sched.predict.predict_plan`) it becomes LPT bin
-    packing: tasks are placed longest-first onto the least-loaded bin
-    (ties broken by lowest shard id), the classic 4/3-approximation to
-    minimum makespan.  Both partitions are pure functions of their
-    inputs — deterministic, and irrelevant to result bytes since every
-    task computes identical content on any shard.
-
-    Each returned part is ordered longest-first, which is exactly the
-    queue order :class:`repro.serve.shards.TaskBoard` serves and steals
-    from."""
-    parts: List[Dict[str, TaskSpec]] = [{} for _ in range(shards)]
-    if predictions is None:
-        for task_id, spec in union.items():
-            parts[shard_for(task_id, shards)][task_id] = spec
-        return parts
-    index = {tid: i for i, tid in enumerate(union)}
-
-    def lpt_key(tid: str) -> Tuple[float, int]:
-        return (-predictions.get(tid, (0.0, ""))[0], index[tid])
-
-    loads = [0.0] * shards
-    for tid in sorted(union, key=lpt_key):
-        target = min(range(shards), key=lambda s: (loads[s], s))
-        parts[target][tid] = union[tid]
-        # the epsilon keeps zero-cost tasks spreading round-robin
-        # instead of piling onto shard 0
-        loads[target] += predictions.get(tid, (0.0, ""))[0] + 1e-9
-    return parts
-
-
 def batch_key(union: Dict[str, TaskSpec]) -> str:
     """Digest identifying one batch's merged task set — the run key of
-    the per-shard journals, stable across shard restarts within the
-    batch (sorted, so shard partitioning cannot change it)."""
+    the batch journal, stable across pool restarts within the batch
+    (sorted, so request order cannot change it)."""
     digest = hashlib.sha256()
     for task_id in sorted(union):
         digest.update(task_id.encode())
@@ -113,5 +74,4 @@ def batch_key(union: Dict[str, TaskSpec]) -> str:
     return digest.hexdigest()[:24]
 
 
-__all__ = ["plan_request", "plan_batch", "union_tasks", "partition_tasks",
-           "batch_key"]
+__all__ = ["plan_request", "plan_batch", "union_tasks", "batch_key"]

@@ -1,14 +1,14 @@
-"""Service observability: counters, latency histograms, shard accounting.
+"""Service observability: counters, latency histograms, pool accounting.
 
 One :class:`ServiceMetrics` instance aggregates everything the
 ``/metrics`` endpoint exposes — admission counters, queue depth, wait/run
 latency histograms, batching effectiveness (tasks planned vs unique vs
-executed), per-shard utilisation folded in from the scheduler's
+executed), worker-pool utilisation folded in from the scheduler's
 :class:`~repro.sched.events.Telemetry`, and the cost-category totals of
 profiled requests (:func:`repro.prof.run_cost_totals`).
 
-Everything is guarded by one lock: shard runners report from executor
-threads while the HTTP handlers read from the event loop.
+Everything is guarded by one lock: batches report from the executor
+thread while the HTTP handlers read from the event loop.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ class Histogram:
 class ServiceMetrics:
     """Thread-safe aggregate of everything ``/metrics`` reports."""
 
-    def __init__(self, shards: int, retry_after_cap: float = 60.0):
+    def __init__(self, workers: int, retry_after_cap: float = 60.0):
         self._lock = threading.Lock()
-        self.shards = shards
+        #: worker processes in the service's pool; the Retry-After
+        #: estimate spreads queued work over them
+        self.workers = workers
         #: ceiling on the Retry-After estimate, seconds — a pathological
         #: EMA after one stalled batch must not tell clients to go away
         #: for hours
@@ -82,9 +84,8 @@ class ServiceMetrics:
         self.tasks_from_journal = 0
         self.tasks_failed = 0
         self.tasks_quarantined = 0
-        self.shard_restarts = 0
-        #: queued tasks moved between shards by the work-stealing board
-        self.tasks_stolen = 0
+        #: pool-loop deaths a batch recovered from by journal replay
+        self.batch_restarts = 0
         # cost-predictive dispatch (repro.sched.predict): how often the
         # duration ledger had history vs falling back to the static
         # estimator, and how far ledger predictions missed (seconds)
@@ -93,7 +94,7 @@ class ServiceMetrics:
         self.pred_samples = 0
         self.pred_abs_err_seconds = 0.0
         # tier-2 vectorized execution + compile-cache traffic (folded
-        # from per-shard Telemetry; see repro.runtime.vectorize)
+        # from each batch's Telemetry; see repro.runtime.vectorize)
         self.vec_bulk_loops = 0
         self.vec_bulk_iters = 0
         self.vec_fallbacks = 0
@@ -105,10 +106,10 @@ class ServiceMetrics:
         #: exponential moving average of per-batch wall seconds — feeds
         #: the Retry-After estimate on overload rejections
         self.ema_batch_seconds = 0.0
-        # per-shard accounting (telemetry merges)
-        self.shard_busy: Dict[int, float] = {k: 0.0 for k in range(shards)}
-        self.shard_tasks: Dict[int, int] = {k: 0 for k in range(shards)}
-        self.shard_crashes: Dict[int, int] = {k: 0 for k in range(shards)}
+        # worker-pool accounting, summed over batches
+        self.pool_busy_seconds = 0.0
+        self.pool_tasks = 0
+        self.pool_crashes = 0
         # cost-category totals of profiled completed requests
         self.profile_totals: Dict[str, float] = {}
 
@@ -144,10 +145,6 @@ class ServiceMetrics:
             if self.ema_batch_seconds == 0.0 and batch_seconds > 0.0:
                 self.ema_batch_seconds = batch_seconds
 
-    def record_steals(self, steals: int) -> None:
-        with self._lock:
-            self.tasks_stolen += steals
-
     def record_batch(self, requests: int, planned: int, unique: int,
                      wall_seconds: float) -> None:
         with self._lock:
@@ -162,16 +159,15 @@ class ServiceMetrics:
                 self.ema_batch_seconds = (alpha * wall_seconds
                                           + (1 - alpha) * self.ema_batch_seconds)
 
-    def record_shard(self, shard: int, telemetry: Telemetry,
-                     restarts: int = 0) -> None:
-        """Fold one shard run's Telemetry into the service aggregate."""
+    def record_pool(self, telemetry: Telemetry, restarts: int = 0) -> None:
+        """Fold one batch's pool Telemetry into the service aggregate."""
         with self._lock:
             self.tasks_executed += telemetry.executed
             self.tasks_from_cache += telemetry.from_cache
             self.tasks_from_journal += telemetry.from_journal
             self.tasks_failed += telemetry.failed
             self.tasks_quarantined += telemetry.quarantined
-            self.shard_restarts += restarts
+            self.batch_restarts += restarts
             self.ledger_predictions += telemetry.ledger_predictions
             self.estimator_predictions += telemetry.estimator_predictions
             self.pred_samples += telemetry.pred_samples
@@ -181,12 +177,9 @@ class ServiceMetrics:
             self.vec_fallbacks += telemetry.vec_fallbacks
             self.compile_cache_hits += telemetry.compile_cache_hits
             self.compile_cache_misses += telemetry.compile_cache_misses
-            self.shard_busy[shard] = (self.shard_busy.get(shard, 0.0)
-                                      + telemetry.busy_seconds)
-            self.shard_tasks[shard] = (self.shard_tasks.get(shard, 0)
-                                       + telemetry.total)
-            self.shard_crashes[shard] = (self.shard_crashes.get(shard, 0)
-                                         + telemetry.crashes)
+            self.pool_busy_seconds += telemetry.busy_seconds
+            self.pool_tasks += telemetry.total
+            self.pool_crashes += telemetry.crashes
 
     def record_profile(self, totals: Dict[str, float]) -> None:
         with self._lock:
@@ -200,27 +193,18 @@ class ServiceMetrics:
         with self._lock:
             return self.tasks_planned - self.tasks_unique
 
-    def retry_after(self, inflight: int, open_breakers: int = 0) -> int:
+    def retry_after(self, inflight: int) -> int:
         """Integer seconds a rejected client should back off — queue depth
-        times the smoothed batch cost over the *surviving* shards, never
-        less than one second and never more than ``retry_after_cap``.
-
-        ``open_breakers`` shards are tripped and take no work, so the
-        same queue drains that much slower; the hint scales up while any
-        breaker is open (and sticks at the cap when none survive)."""
+        times the smoothed batch cost over ``workers``, never less than one
+        second and never more than ``retry_after_cap``."""
         with self._lock:
             per_batch = self.ema_batch_seconds or 1.0
             cap = self.retry_after_cap
-        surviving = self.shards - max(0, open_breakers)
-        if surviving <= 0:
-            return int(cap + 0.999)
-        estimate = max(1.0, inflight * per_batch / surviving)
+        estimate = max(1.0, inflight * per_batch / self.workers)
         return min(int(cap + 0.999), int(estimate + 0.999))
 
     def snapshot(self, queue_depth: int = 0, running: int = 0,
-                 state: str = "",
-                 breakers: Optional[Dict[str, Dict[str, object]]] = None
-                 ) -> Dict[str, object]:
+                 state: str = "") -> Dict[str, object]:
         """One JSON-able dict: the body of ``GET /metrics``."""
         with self._lock:
             return {
@@ -242,8 +226,7 @@ class ServiceMetrics:
                 "tasks_from_journal": self.tasks_from_journal,
                 "tasks_failed": self.tasks_failed,
                 "tasks_quarantined": self.tasks_quarantined,
-                "shard_restarts": self.shard_restarts,
-                "tasks_stolen": self.tasks_stolen,
+                "batch_restarts": self.batch_restarts,
                 # always 0: kept only because the pipeline benchmark reads it
                 "hedges": 0,
                 "ledger_predictions": self.ledger_predictions,
@@ -264,19 +247,14 @@ class ServiceMetrics:
                 "ema_batch_seconds": self.ema_batch_seconds,
                 "wait_seconds": self.wait_seconds.to_dict(),
                 "run_seconds": self.run_seconds.to_dict(),
-                "shards": {
-                    str(k): {
-                        "busy_seconds": self.shard_busy.get(k, 0.0),
-                        "tasks": self.shard_tasks.get(k, 0),
-                        "crashes": self.shard_crashes.get(k, 0),
-                    }
-                    for k in sorted(self.shard_busy)
-                },
+                # one entry, the pool: kept only because the pipeline
+                # benchmark reads it
+                "shards": {"0": {
+                    "busy_seconds": self.pool_busy_seconds,
+                    "tasks": self.pool_tasks,
+                    "crashes": self.pool_crashes,
+                }},
                 "profile_totals": dict(self.profile_totals),
-                "breakers": dict(breakers or {}),
-                "breakers_open": sum(
-                    1 for b in (breakers or {}).values()
-                    if b.get("state") == "open"),
             }
 
 

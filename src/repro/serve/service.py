@@ -1,4 +1,4 @@
-"""The asynchronous evaluation service: admission, batching, shard fan-out.
+"""The asynchronous evaluation service: admission, batching, one pool.
 
 :class:`EvalService` is the in-process core the HTTP front end
 (:mod:`repro.serve.http`) wraps.  Lifecycle of one request:
@@ -11,11 +11,15 @@
    oldest queued ticket, then keeps collecting until ``batch_window``
    seconds pass or ``max_batch`` requests are in hand.
 3. **Execution** (:meth:`EvalService._run_batch`): expired-while-queued
-   tickets are retired; the rest are planned, their task sets merged by
-   content hash (:mod:`repro.serve.batcher`), partitioned across shards,
-   and executed on per-shard worker pools with per-shard resume journals
-   (:mod:`repro.serve.shards`) in executor threads — the event loop stays
-   responsive for status polls throughout.
+   tickets are retired; the rest are planned and their task sets merged
+   by content hash (:mod:`repro.serve.batcher`).  The merged set runs on
+   one worker pool in longest-predicted-first order, through the same
+   executor ``run_scheduled`` uses
+   (:func:`repro.sched.scheduler.execute_tasks`), journaled to
+   ``workdir/batch.journal.jsonl``.  If the pool loop dies, the batch
+   replays that journal and re-executes only the remainder, up to
+   :data:`BATCH_RESTARTS` times.  All of this runs in an executor
+   thread, so the event loop stays responsive for status polls.
 4. **Demultiplexing**: each ticket's :class:`~repro.harness.evaluate.EvalRun`
    is reassembled from the shared result map through its own plan, so a
    served run is byte-identical to a direct ``evaluate_model`` call.
@@ -36,22 +40,33 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..bench.spec import EXECUTION_MODELS, PROBLEM_TYPES
-from ..guard import BreakerBoard
+from ..faults import inject
 from ..harness.evaluate import EvalRun
 from ..harness.runner import Runner
 from ..models import MODEL_ORDER
 from ..prof import run_cost_totals
-from ..sched.events import SOURCE_EXECUTED, TaskFinished, Telemetry
-from ..sched.plan import Plan, assemble
+from ..sched.events import (
+    SOURCE_EXECUTED,
+    SchedulerAbort,
+    TaskFinished,
+    Telemetry,
+    chain,
+)
+from ..sched.journal import Journal, SampleCache
+from ..sched.plan import Plan, TaskSpec, assemble
 from ..sched.predict import DurationLedger, plan_keys, predict_plan
+from ..sched.scheduler import execute_tasks, replay_journal
 from ..sched.worker import failure_payload
-from .batcher import batch_key, partition_tasks, plan_batch, union_tasks
+from .batcher import batch_key, plan_batch, union_tasks
 from .metrics import ServiceMetrics
-from .shards import TaskBoard, run_shard
 
 #: ledger key tracking whole-batch wall time across service restarts —
 #: warm-starts the Retry-After EMA before the first batch completes
 BATCH_EMA_KEY = "serve|batch||wall"
+
+#: times a batch replays its journal and re-runs the remainder after its
+#: pool loop dies; tasks still unsettled after that become failures
+BATCH_RESTARTS = 2
 
 #: ticket lifecycle states
 QUEUED = "queued"
@@ -60,6 +75,16 @@ DONE = "done"
 FAILED = "failed"
 EXPIRED = "expired"
 TERMINAL = frozenset({DONE, FAILED, EXPIRED})
+
+
+def _death_probe(event: object) -> None:
+    """Consult the ``serve.batch.die`` injection point after each
+    executed task; a matching rule aborts the batch's pool loop (the
+    journal already holds the task — journal-then-notify)."""
+    if (inject.ACTIVE is not None and isinstance(event, TaskFinished)
+            and event.source == SOURCE_EXECUTED
+            and inject.ACTIVE.fire("serve.batch.die", "batch") is not None):
+        raise SchedulerAbort("injected batch pool-loop death")
 
 
 class Overloaded(Exception):
@@ -177,7 +202,9 @@ class RequestTicket:
 
 
 class EvalService:
-    """Async batched evaluation service over sharded worker pools."""
+    """Async batched evaluation service over one worker pool per batch.
+
+    The pool has ``shards`` x ``jobs_per_shard`` worker processes."""
 
     def __init__(self,
                  workdir: Path,
@@ -191,17 +218,10 @@ class EvalService:
                  sample_cache: bool = True,
                  task_timeout: Optional[float] = 120.0,
                  max_retries: int = 2,
-                 max_shard_restarts: int = 2,
                  vectorize: bool = True,
-                 breaker_threshold: int = 2,
-                 breaker_cooldown: int = 2,
-                 retry_after_cap: float = 60.0,
-                 dispatch: str = "lpt"):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if dispatch not in ("lpt", "fifo"):
-            raise ValueError(
-                f"dispatch must be 'lpt' or 'fifo', got {dispatch!r}")
+                 retry_after_cap: float = 60.0):
+        if shards < 1 or jobs_per_shard < 1:
+            raise ValueError("shards and jobs_per_shard must be >= 1")
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         # an explicit runner wins; otherwise the vectorize toggle picks
@@ -210,8 +230,7 @@ class EvalService:
         self.runner = (runner if runner is not None
                        else Runner(vectorize=vectorize))
         self.vectorize = self.runner.vectorize
-        self.shards = shards
-        self.jobs_per_shard = jobs_per_shard
+        self.jobs = shards * jobs_per_shard
         self.max_queue = max_queue
         self.batch_window = batch_window
         self.max_batch = max_batch if batching else 1
@@ -219,26 +238,15 @@ class EvalService:
         self.cache_dir = (self.workdir / "cache") if sample_cache else None
         self.task_timeout = task_timeout
         self.max_retries = max_retries
-        self.max_shard_restarts = max_shard_restarts
-        #: per-shard circuit breakers: a shard that exhausts its restart
-        #: budget twice in a row stops receiving work until a half-open
-        #: probe (after ``breaker_cooldown`` batches) succeeds
-        self.breakers = BreakerBoard(shards,
-                                     failure_threshold=breaker_threshold,
-                                     cooldown=breaker_cooldown)
-        #: ``"lpt"`` (default): cost-balanced shard partitions + the
-        #: work-stealing TaskBoard + longest-first pool dispatch;
-        #: ``"fifo"``: the legacy hash partition, no board — the
-        #: differential-testing foil (results byte-identical either way)
-        self.dispatch = dispatch
-        #: durable wall-time history shared by every batch; feeds shard
-        #: balancing, pool dispatch, and Retry-After
+        #: durable wall-time history shared by every batch; feeds pool
+        #: dispatch order and Retry-After
         self.ledger = DurationLedger(self.workdir / "durations.jsonl")
-        self.metrics = ServiceMetrics(shards, retry_after_cap=retry_after_cap)
+        self.metrics = ServiceMetrics(self.jobs,
+                                      retry_after_cap=retry_after_cap)
         warm = self.ledger.predict(BATCH_EMA_KEY)
         if warm is not None:
             self.metrics.seed_ema(warm)
-        #: run-level telemetry aggregate, folded from per-shard sinks
+        #: run-level telemetry aggregate over every batch
         self.telemetry = Telemetry()
         self.tickets: Dict[str, RequestTicket] = {}
         self._ids = itertools.count(1)
@@ -256,9 +264,9 @@ class EvalService:
     async def start(self) -> None:
         if self._loop_task is not None:
             raise RuntimeError("service already started")
-        # +1 thread so batch planning never waits behind shard execution
+        # batches run one at a time, so one thread plans and executes
         self._executor = ThreadPoolExecutor(
-            max_workers=self.shards + 1, thread_name_prefix="repro-serve")
+            max_workers=1, thread_name_prefix="repro-serve")
         self._loop_task = asyncio.get_running_loop().create_task(
             self._batch_loop())
 
@@ -314,8 +322,7 @@ class EvalService:
             raise ServiceClosed("service is shutting down")
         if self._inflight >= self.max_queue:
             self.metrics.record_admission(False)
-            raise Overloaded(self.metrics.retry_after(
-                self._inflight, open_breakers=self.breakers.open_count()))
+            raise Overloaded(self.metrics.retry_after(self._inflight))
         ticket = RequestTicket(id=f"req-{next(self._ids):06d}",
                                request=request, created=time.monotonic())
         self.tickets[ticket.id] = ticket
@@ -335,8 +342,7 @@ class EvalService:
     def metrics_snapshot(self) -> Dict[str, object]:
         return self.metrics.snapshot(queue_depth=self._queue.qsize(),
                                      running=self._running,
-                                     state=self.state,
-                                     breakers=self.breakers.states())
+                                     state=self.state)
 
     # -- batching loop -------------------------------------------------------
 
@@ -395,65 +401,22 @@ class EvalService:
         for ticket, plan in zip(live, plans):
             ticket.plan = plan
         union = union_tasks(plans)
-        key = batch_key(union)
         # cost predictions: ledger EMA where warm, static estimate where
-        # cold — drive shard balancing and pool dispatch
+        # cold — drive the pool's longest-first dispatch order
         task_keys: Dict[str, str] = {}
         predictions: Dict[str, Tuple[float, str]] = {}
         for plan in plans:
             task_keys.update(plan_keys(plan))
             predictions.update(predict_plan(plan, self.runner, self.ledger))
-        balanced = self.dispatch == "lpt"
-        parts = partition_tasks(union, self.shards,
-                                predictions if balanced else None)
-        # breaker clock: one tick per batch — a count, not a wall clock,
-        # so the open -> half-open schedule replays deterministically
-        self.breakers.tick()
-        routed: Dict[int, dict] = {}
-        for home, specs in enumerate(parts):
-            if not specs:
-                continue
-            routed.setdefault(self.breakers.route(home), {}).update(specs)
-        board = TaskBoard(routed) if balanced else None
-
-        def observe(event: object) -> None:
-            # executor threads report here; the ledger locks internally
-            if (isinstance(event, TaskFinished)
-                    and event.source == SOURCE_EXECUTED
-                    and event.task_id in task_keys):
-                self.ledger.observe(task_keys[event.task_id],
-                                    event.duration)
-
-        shard_runs = [
-            loop.run_in_executor(
-                self._executor, self._run_one_shard, shard, key, specs,
-                ptypes, models, board, predictions, observe)
-            for shard, specs in sorted(routed.items())
-        ]
-        results: Dict[str, dict] = {}
-        failures: Dict[str, str] = {}
-        for shard_result in await asyncio.gather(*shard_runs):
-            self.breakers.record(shard_result.shard,
-                                 shard_result.error == "")
-            results.update(shard_result.results)
-            failures.update(shard_result.failures)
-            self.metrics.record_shard(shard_result.shard,
-                                      shard_result.telemetry,
-                                      restarts=shard_result.restarts)
-            self.telemetry.merge(shard_result.telemetry)
-        for task_id, spec in union.items():
-            if task_id not in results:
-                detail = failures.get(
-                    task_id, "shard lost the task (restarts exhausted)")
-                results[task_id] = failure_payload(spec.kind, detail)
+        results = await loop.run_in_executor(
+            self._executor, self._run_tasks, union, ptypes, models,
+            task_keys, predictions)
         wall = time.monotonic() - t0
         self.metrics.record_batch(
             requests=len(live),
             planned=sum(len(p.tasks) for p in plans),
             unique=len(union),
             wall_seconds=wall)
-        if board is not None:
-            self.metrics.record_steals(board.steals)
         self.ledger.observe(BATCH_EMA_KEY, wall)
         self.ledger.flush()
         for ticket in live:
@@ -468,17 +431,65 @@ class EvalService:
                 self.metrics.record_profile(run_cost_totals(run))
             self._finish(ticket, DONE)
 
-    def _run_one_shard(self, shard_id: int, key: str, specs,
-                       ptypes: Tuple[str, ...], models: Tuple[str, ...],
-                       board=None, predictions=None, emit=None):
-        return run_shard(
-            shard_id, key, specs,
-            journal_path=self.workdir / f"shard-{shard_id}.journal.jsonl",
-            runner=self.runner, ptypes=ptypes, models=models,
-            jobs=self.jobs_per_shard, cache_dir=self.cache_dir,
-            task_timeout=self.task_timeout, max_retries=self.max_retries,
-            max_restarts=self.max_shard_restarts,
-            emit=emit, board=board, predictions=predictions)
+    def _run_tasks(self, union: Dict[str, TaskSpec],
+                   ptypes: Tuple[str, ...], models: Tuple[str, ...],
+                   task_keys: Dict[str, str],
+                   predictions: Dict[str, Tuple[float, str]]
+                   ) -> Dict[str, dict]:
+        """Settle one batch's merged task set; survives pool-loop deaths.
+
+        Attempt 0 starts a fresh batch journal.  Each restart replays it
+        and executes only the remainder, so a death costs at most the
+        tasks in flight.  Once the restarts are spent, the journal is
+        salvaged and every task still unsettled becomes a failure
+        payload.  Runs in the executor thread.
+        """
+        def observe(event: object) -> None:
+            if (isinstance(event, TaskFinished)
+                    and event.source == SOURCE_EXECUTED
+                    and event.task_id in task_keys):
+                self.ledger.observe(task_keys[event.task_id],
+                                    event.duration)
+
+        key = batch_key(union)
+        telemetry = Telemetry()
+        sink = chain(observe, telemetry, self.telemetry)
+        cache = (SampleCache(self.cache_dir)
+                 if self.cache_dir is not None else None)
+        journal = Journal(self.workdir / "batch.journal.jsonl")
+        results: Dict[str, dict] = {}
+        failures: Dict[str, str] = {}
+        restarts = 0
+        error = ""
+        try:
+            for attempt in range(BATCH_RESTARTS + 1):
+                if attempt:
+                    restarts += 1
+                    replay_journal(journal, key, union, results, sink)
+                journal.start(key, fresh=(attempt == 0))
+                try:
+                    failures = execute_tasks(
+                        union, results, self.runner, ptypes, models,
+                        chain(sink, _death_probe), jobs=self.jobs,
+                        journal=journal, cache=cache,
+                        predictions=predictions,
+                        task_timeout=self.task_timeout,
+                        max_retries=self.max_retries)
+                    break
+                except Exception as exc:    # noqa: BLE001 - pool-loop death
+                    error = f"{type(exc).__name__}: {exc}"
+                    journal.close()     # the next attempt reloads it
+            else:
+                # restarts spent: keep whatever the journal committed
+                replay_journal(journal, key, union, results, sink)
+        finally:
+            journal.close()
+        self.metrics.record_pool(telemetry, restarts=restarts)
+        for task_id, spec in union.items():
+            if task_id not in results:
+                results[task_id] = failure_payload(spec.kind, failures.get(
+                    task_id, f"batch restarts exhausted; last: {error}"))
+        return results
 
     def _finish(self, ticket: RequestTicket, status: str,
                 error: str = "") -> None:

@@ -48,7 +48,7 @@ class TestInvariants:
     def test_serve_resilience(self, tmp_path):
         report = check_serve_resilience(tmp_path, jobs=2)
         assert report.passed, report.detail
-        assert "shard deaths" in report.detail
+        assert "batch pool-loop deaths" in report.detail
 
     def test_guard_resilience(self, tmp_path):
         report = check_guard_resilience(tmp_path, jobs=2)

@@ -48,7 +48,7 @@ def direct_run():
 
 def run_with_service(tmp_path, coro_fn, **service_kwargs):
     """Start a service, run ``coro_fn(service)``, drain, shut down."""
-    kwargs = dict(shards=2, jobs_per_shard=2, sample_cache=False)
+    kwargs = dict(shards=1, jobs_per_shard=2, sample_cache=False)
     kwargs.update(service_kwargs)
 
     async def main():

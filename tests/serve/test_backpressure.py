@@ -84,7 +84,7 @@ class TestDeadlines:
 class TestShutdown:
     def test_drain_finishes_accepted_work(self, tmp_path):
         async def main():
-            service = EvalService(tmp_path, shards=2, jobs_per_shard=2,
+            service = EvalService(tmp_path, shards=1, jobs_per_shard=2,
                                   sample_cache=False, batch_window=0.2)
             await service.start()
             client = ServiceClient(service)

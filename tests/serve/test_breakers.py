@@ -1,19 +1,6 @@
-"""Per-shard circuit breakers and the capped Retry-After hint.
+"""The capped Retry-After hint sent with 429 rejections."""
 
-The breaker lifecycle is driven end-to-end through a live service: an
-injected shard death with no restart budget trips shard 0's breaker,
-the next batch reroutes to the survivor (and stays byte-identical to a
-direct run), and the half-open probe after the deterministic cool-down
-closes the breaker again.
-"""
-
-from repro.faults import FaultPlan, FaultRule, injector
-from repro.guard import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
-from repro.serve import ServiceClient
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.service import DONE
-
-from .conftest import direct_reference, make_request, run_with_service
 
 
 class TestRetryAfterCap:
@@ -42,72 +29,3 @@ class TestRetryAfterCap:
         metrics.record_batch(requests=1, planned=1, unique=1,
                              wall_seconds=1.0)
         assert metrics.retry_after(inflight=3) == 2      # 1.5s, ceil
-
-    def test_open_breakers_raise_the_hint(self):
-        """Tripped shards take no work, so the same queue drains slower;
-        with no survivors the hint sticks at the cap."""
-        metrics = ServiceMetrics(4, retry_after_cap=30.0)
-        metrics.record_batch(requests=1, planned=1, unique=1,
-                             wall_seconds=2.0)
-        closed = metrics.retry_after(inflight=8)
-        halved = metrics.retry_after(inflight=8, open_breakers=2)
-        assert closed == 4 and halved == 8
-        assert metrics.retry_after(inflight=8, open_breakers=4) == 30
-
-
-class TestBreakerExposure:
-    def test_healthy_run_reports_closed_breakers(self, tmp_path):
-        async def go(service):
-            return await ServiceClient(service).evaluate(make_request())
-
-        run, service = run_with_service(tmp_path, go)
-        assert run.prompts
-        snap = service.metrics_snapshot()
-        assert snap["breakers_open"] == 0
-        assert set(snap["breakers"]) == {"0", "1"}
-        assert all(b["state"] == STATE_CLOSED
-                   for b in snap["breakers"].values())
-
-
-class TestBreakerLifecycle:
-    def test_trip_reroute_and_half_open_recovery(self, tmp_path):
-        """Shard 0 dies once with no restart budget: its breaker trips,
-        the next batch routes around it byte-identically, and after the
-        cool-down a half-open probe closes it again."""
-        plan = FaultPlan(rules=(
-            FaultRule(point="serve.shard.die", action="abort",
-                      match="shard0", occurrences=(0,)),))
-
-        async def go(service):
-            client = ServiceClient(service)
-            ticket1 = await client.wait(client.submit(make_request()))
-            state_after_trip = service.breakers.breakers[0].state
-            open_snap = service.metrics_snapshot()
-            run2 = await client.evaluate(make_request())
-            state_while_routed = service.breakers.breakers[0].state
-            reroutes = list(service.breakers.reroutes)
-            run3 = await client.evaluate(make_request())
-            return (ticket1, state_after_trip, open_snap, run2,
-                    state_while_routed, reroutes, run3)
-
-        with injector(plan):
-            (ticket1, tripped, open_snap, run2, routed_state, reroutes,
-             run3), service = run_with_service(
-                tmp_path, go, jobs_per_shard=1, max_shard_restarts=0,
-                breaker_threshold=1, breaker_cooldown=2)
-
-        reference = direct_reference(make_request()).to_json()
-        # the dying shard degraded its batch, it did not kill it
-        assert ticket1.status == DONE
-        assert tripped == STATE_OPEN
-        assert open_snap["breakers"]["0"]["state"] == STATE_OPEN
-        assert open_snap["breakers_open"] == 1
-        # while open, shard 0's partition ran on the survivor — and the
-        # served run is still byte-identical to a direct one
-        assert (0, 1) in reroutes
-        assert routed_state in (STATE_OPEN, STATE_HALF_OPEN)
-        assert run2.to_json() == reference
-        # cool-down elapsed: the half-open probe succeeded and closed it
-        assert run3.to_json() == reference
-        assert service.breakers.breakers[0].state == STATE_CLOSED
-        assert service.metrics_snapshot()["breakers_open"] == 0

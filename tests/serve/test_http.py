@@ -14,7 +14,7 @@ from .conftest import make_request
 def with_server(tmp_path, coro_fn, **service_kwargs):
     """Run ``coro_fn(client, service)`` against a live ephemeral-port
     server; returns its result."""
-    kwargs = dict(shards=2, jobs_per_shard=2, sample_cache=False)
+    kwargs = dict(shards=1, jobs_per_shard=2, sample_cache=False)
     kwargs.update(service_kwargs)
 
     async def main():

@@ -59,6 +59,28 @@ class TestDifferentialGolden:
         assert snap["tasks_from_cache"] > 0
 
 
+class TestMetricsContract:
+    def test_keys_the_pipeline_benchmark_reads(self, tmp_path):
+        """``benchmarks/pipeline/replay.py::traced_serve`` reads these
+        ``/metrics`` keys; renaming or dropping one breaks the frozen
+        benchmark."""
+        async def go(service):
+            await ServiceClient(service).evaluate(make_request())
+            return service.metrics_snapshot()
+
+        snap, _ = run_with_service(tmp_path, go)
+        for key in ("tasks_executed", "tasks_from_cache",
+                    "tasks_from_journal", "compile_cache_hits",
+                    "compile_cache_misses", "batched_requests", "batches",
+                    "tasks_deduped", "tasks_planned", "hedges",
+                    "ledger_hit_rate", "pred_mae_seconds"):
+            assert isinstance(snap[key], (int, float)), key
+        assert snap["hedges"] == 0
+        (pool,) = snap["shards"].values()
+        assert pool["busy_seconds"] > 0.0
+        assert pool["tasks"] == snap["tasks_executed"]
+
+
 class TestTicketLifecycle:
     def test_ticket_snapshot_fields(self, tmp_path):
         async def go(service):

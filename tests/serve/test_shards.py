@@ -1,15 +1,18 @@
-"""The shard layer in isolation: deterministic partitioning (hash and
-cost-balanced), the work-stealing TaskBoard, journal resume after
-injected shard death, and journal salvage when the restart budget runs
-out."""
+"""One worker pool per service batch, through a live service: the batch
+journal key, a clean batch, journal resume after an injected pool-loop
+death, journal salvage when the restarts run out, and warm-ledger
+dispatch."""
+
+import json
 
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, injector
 from repro.harness import Runner
-from repro.sched import TRANSIENT_STATUSES, shard_for
-from repro.serve import ServiceClient, TaskBoard, plan_request, run_shard
-from repro.serve.batcher import batch_key, partition_tasks, union_tasks
+from repro.sched import TRANSIENT_STATUSES
+from repro.serve import ServiceClient, plan_request
+from repro.serve.batcher import batch_key, union_tasks
+from repro.serve.service import BATCH_RESTARTS, DONE
 
 from .conftest import make_request, run_with_service
 
@@ -20,29 +23,17 @@ def union():
     return union_tasks([plan])
 
 
-class TestPartition:
-    def test_partition_is_disjoint_and_complete(self, union):
-        parts = partition_tasks(union, 3)
-        assert sum(len(p) for p in parts) == len(union)
-        seen = set()
-        for part in parts:
-            assert not (seen & set(part))
-            seen |= set(part)
-        assert seen == set(union)
+async def _evaluate(service):
+    return await ServiceClient(service).evaluate(make_request())
 
-    def test_shard_assignment_is_pure(self, union):
-        for tid in union:
-            assert shard_for(tid, 4) == shard_for(tid, 4)
-            assert 0 <= shard_for(tid, 4) < 4
 
-    def test_one_shard_gets_everything(self, union):
-        (only,) = partition_tasks(union, 1)
-        assert only == union
+def _die(occurrences):
+    return FaultPlan(rules=(
+        FaultRule(point="serve.batch.die", action="abort",
+                  occurrences=occurrences),), seed=0)
 
-    def test_shard_for_rejects_zero(self):
-        with pytest.raises(ValueError):
-            shard_for("abcd1234", 0)
 
+class TestBatchKey:
     def test_batch_key_is_order_insensitive(self, union):
         items = list(union.items())
         reversed_union = dict(reversed(items))
@@ -50,102 +41,63 @@ class TestPartition:
         assert batch_key(union) != batch_key(dict(items[:1]))
 
 
-class TestCostBalancedPartition:
-    def _predictions(self, union, heavy):
-        return {tid: ((100.0, "ledger") if tid == heavy else
-                      (1.0, "estimator")) for tid in union}
-
-    def test_balanced_partition_is_disjoint_and_complete(self, union):
-        heavy = next(iter(union))
-        parts = partition_tasks(union, 3, self._predictions(union, heavy))
-        assert sum(len(p) for p in parts) == len(union)
-        seen = set()
-        for part in parts:
-            assert not (seen & set(part))
-            seen |= set(part)
-        assert seen == set(union)
-
-    def test_heavy_task_gets_the_lightest_bin(self, union):
-        # one 100-unit task among 1-unit tasks: LPT places it first,
-        # alone, and packs everything else onto the other bins
-        heavy = sorted(union)[0]
-        parts = partition_tasks(union, 3, self._predictions(union, heavy))
-        (heavy_part,) = [p for p in parts if heavy in p]
-        assert list(heavy_part)[0] == heavy     # parts are longest-first
-        others = [p for p in parts if heavy not in p]
-        assert len(heavy_part) <= min(len(p) for p in others)
-
-    def test_balanced_partition_is_deterministic(self, union):
-        heavy = next(iter(union))
-        preds = self._predictions(union, heavy)
-        one = partition_tasks(union, 3, preds)
-        two = partition_tasks(union, 3, preds)
-        assert [list(p) for p in one] == [list(p) for p in two]
-
-    def test_no_predictions_keeps_the_legacy_hash_partition(self, union):
-        parts = partition_tasks(union, 3)
-        for shard_id, part in enumerate(parts):
-            for tid in part:
-                assert shard_for(tid, 3) == shard_id
-
-
-class TestTaskBoard:
-    def _board(self):
-        return TaskBoard({0: {"a0": "SA0", "a1": "SA1"},
-                          1: {"b0": "SB0", "b1": "SB1", "b2": "SB2"}})
-
-    def test_own_queue_first_in_order(self):
-        board = self._board()
-        assert board.claim(0) == ("a0", "SA0")
-        assert board.claim(0) == ("a1", "SA1")
-        assert board.depth() == 3
-
-    def test_drained_shard_steals_from_the_deepest(self):
-        board = self._board()
-        board.claim(0), board.claim(0)
-        # shard 0 is empty; shard 1 still holds b0..b2 — steal its front
-        tid, spec = board.claim(0)
-        assert (tid, spec) == ("b0", "SB0")
-        assert board.steals == 1
-        assert board.claim(1) == ("b1", "SB1")  # owner keeps the rest
-
-    def test_exhausted_board_claims_none(self):
-        board = TaskBoard({0: {"a0": "SA0"}})
-        assert board.claim(0) == ("a0", "SA0")
-        assert board.claim(0) is None
-        assert board.steals == 0                # nothing to steal from
-
-    def test_release_returns_unsettled_claims(self):
-        board = self._board()
-        board.claim(1), board.claim(1)          # b0, b1 in flight
-        board.release(1, settled={"b0"})        # died after finishing b0
-        # b1 is queued again at the front; b0 stays settled
-        assert board.claim(1) == ("b1", "SB1")
-        assert board.claim(1) == ("b2", "SB2")
-        assert board.claim(1) is None or board.claim(1)[0].startswith("a")
-
-    def test_specs_merge_every_partition(self):
-        board = self._board()
-        assert set(board.specs) == {"a0", "a1", "b0", "b1", "b2"}
-
-
-class TestServiceDispatchDifferential:
-    """--dispatch lpt (balanced + stealing) vs fifo (legacy hash): the
-    same bytes, proven through a live service."""
-
-    def test_lpt_and_fifo_served_runs_match(self, tmp_path, direct_run):
-        async def go(service):
-            return await ServiceClient(service).evaluate(make_request())
-
-        lpt, lpt_service = run_with_service(
-            tmp_path / "lpt", go, dispatch="lpt")
-        fifo, _ = run_with_service(tmp_path / "fifo", go, dispatch="fifo")
-        assert lpt.to_json() == direct_run.to_json()
-        assert fifo.to_json() == direct_run.to_json()
-        # the lpt service actually predicted (cold ledger: estimator)
-        snap = lpt_service.metrics_snapshot()
+class TestBatchPool:
+    def test_clean_batch_executes_every_task_once(self, tmp_path, union,
+                                                  direct_run):
+        run, service = run_with_service(tmp_path, _evaluate)
+        assert run.to_json() == direct_run.to_json()
+        snap = service.metrics_snapshot()
+        assert snap["batch_restarts"] == 0
+        assert snap["tasks_executed"] == len(union)
+        assert snap["tasks_from_journal"] == 0
+        # every dispatch carried a prediction (cold ledger: estimator)
         assert snap["estimator_predictions"] + snap["ledger_predictions"] \
             == snap["tasks_executed"]
+        assert snap["shards"]["0"]["tasks"] == len(union)
+        assert service.telemetry.executed == len(union)
+
+    def test_injected_death_resumes_from_the_batch_journal(self, tmp_path,
+                                                           direct_run):
+        with injector(_die((0,))):
+            run, service = run_with_service(tmp_path, _evaluate)
+        snap = service.metrics_snapshot()
+        assert snap["batch_restarts"] == 1
+        # journal-then-notify: the task that executed just before the
+        # death was already committed, so the restart replays it
+        assert snap["tasks_from_journal"] >= 1
+        assert run.digest() == direct_run.digest()
+
+    def test_restarts_exhausted_salvage_the_journal(self, tmp_path, union):
+        # die after every executed task: each restart re-dies as soon as
+        # its first task finishes, until the restarts are spent
+        async def go(service):
+            client = ServiceClient(service)
+            return await client.wait(client.submit(make_request()))
+
+        with injector(_die(None)):
+            ticket, service = run_with_service(tmp_path, go,
+                                               jobs_per_shard=1)
+        snap = service.metrics_snapshot()
+        assert snap["batch_restarts"] == BATCH_RESTARTS
+        # the batch degraded, it did not fail
+        assert ticket.status == DONE
+        # salvage: the tasks committed before each death survive
+        assert snap["tasks_from_journal"] >= 1
+        records = [json.loads(line) for line in
+                   (tmp_path / "batch.journal.jsonl").read_text()
+                   .splitlines()[1:]]
+        journaled = {r["task"] for r in records}
+        assert journaled and len(journaled) < len(union)
+        for record in records:
+            assert record["result"].get("status") \
+                not in TRANSIENT_STATUSES
+        # every journaled task is settled in the served run, the last
+        # attempt's included; only the lost ones are system_error
+        for pp in ticket.plan.prompts:
+            samples = ticket.run.prompts[pp.uid].samples
+            for slot in pp.slots:
+                lost = samples[slot.sample_index].status == "system_error"
+                assert lost == (slot.task_id not in journaled)
 
     def test_warm_ledger_service_hits_and_matches(self, tmp_path,
                                                   direct_run):
@@ -156,60 +108,11 @@ class TestServiceDispatchDifferential:
             return first, second
 
         # no sample cache: the second request re-executes, now with a
-        # warm duration ledger driving the shard bin-packing
-        (first, second), service = run_with_service(
-            tmp_path, go, dispatch="lpt", sample_cache=False)
+        # warm duration ledger ordering the pool's dispatch
+        (first, second), service = run_with_service(tmp_path, go)
         assert first.to_json() == direct_run.to_json()
         assert second.to_json() == direct_run.to_json()
         snap = service.metrics_snapshot()
         assert snap["ledger_predictions"] > 0
         assert 0.0 < snap["ledger_hit_rate"] <= 1.0
         assert snap["pred_mae_seconds"] >= 0.0
-
-
-class TestRunShard:
-    def _run(self, union, tmp_path, journal="shard.jsonl", **kw):
-        return run_shard(
-            0, "testbatch", union, tmp_path / journal, Runner(),
-            ptypes=("transform",), models=("serial", "openmp"),
-            jobs=2, **kw)
-
-    def test_clean_run_produces_all_results(self, union, tmp_path):
-        out = self._run(union, tmp_path)
-        assert set(out.results) == set(union)
-        assert out.restarts == 0 and out.error == ""
-        assert out.telemetry.executed == len(union)
-
-    def test_injected_death_resumes_from_journal(self, union, tmp_path):
-        plan = FaultPlan(rules=(
-            FaultRule(point="serve.shard.die", action="abort",
-                      occurrences=(0,)),
-        ), seed=0)
-        with injector(plan):
-            out = self._run(union, tmp_path)
-        assert set(out.results) == set(union)
-        assert out.restarts == 1
-        # journal-then-notify: the task that finished just before the
-        # death was already committed, so the resume replays it
-        assert out.telemetry.from_journal >= 1
-        # the same tasks clean run, for comparison
-        clean = self._run(union, tmp_path, journal="clean.jsonl")
-        assert {t: r.get("status") for t, r in out.results.items()} \
-            == {t: r.get("status") for t, r in clean.results.items()}
-
-    def test_restart_budget_exhausted_salvages_journal(self, union, tmp_path):
-        # die on every shard-death occurrence: each restart immediately
-        # re-dies after its first finished task
-        plan = FaultPlan(rules=(
-            FaultRule(point="serve.shard.die", action="abort",
-                      occurrences=None),
-        ), seed=0)
-        with injector(plan):
-            out = self._run(union, tmp_path, max_restarts=1)
-        assert out.restarts == 1
-        assert out.error != ""
-        # journal salvage: the tasks committed before each death survive
-        assert out.results
-        assert set(out.results) < set(union)
-        for payload in out.results.values():
-            assert payload.get("status") not in TRANSIENT_STATUSES
