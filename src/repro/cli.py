@@ -296,26 +296,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from .lint import definite, lint_checked, lint_source
 
     if args.corpus:
-        from .bench import all_problems, baseline_source
-        from .bench.spec import EXECUTION_MODELS
-        from .models.solutions import variants_for
+        from .models.solutions import corpus
 
         programs, n_definite, n_possible = 0, 0, 0
-        for problem in all_problems():
-            jobs = [("baseline/" + problem.name, "serial",
-                     baseline_source(problem.name))]
-            for model in EXECUTION_MODELS:
-                for i, v in enumerate(variants_for(problem, model)):
-                    jobs.append((f"{problem.name}/{model}[{i}]", model,
-                                 v.source))
-            for label, model, source in jobs:
-                programs += 1
-                diags = lint_source(source, model)
-                bad = definite(diags)
-                n_definite += len(bad)
-                n_possible += sum(d.certainty == "possible" for d in diags)
-                for d in bad:
-                    print(f"{label}: {d.render()}")
+        for label, model, source in corpus():
+            programs += 1
+            diags = lint_source(source, model)
+            bad = definite(diags)
+            n_definite += len(bad)
+            n_possible += sum(d.certainty == "possible" for d in diags)
+            for d in bad:
+                print(f"{label}: {d.render()}")
         print(f"linted {programs} corpus programs: "
               f"{n_definite} definite, {n_possible} possible")
         return 1 if n_definite else 0

@@ -2,7 +2,8 @@
 Kokkos functors.
 
 The analyzer walks each parallel region and classifies every array index
-expression relative to the region's parallel induction variable:
+expression relative to the region's parallel induction variable; the
+scope and the affine forms come from :mod:`repro.lang.loops`:
 
 ``INV``
     Loop-invariant — every iteration addresses the same cell.  An
@@ -53,9 +54,10 @@ write is injective; any other callee write is DEP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ..lang import ast as A
+from ..lang import loops
 from ..lang.typecheck import CheckedProgram
 from .diagnostics import (ANALYZER_RACE, DEFINITE, POSSIBLE, Diagnostic)
 
@@ -63,8 +65,6 @@ from .diagnostics import (ANALYZER_RACE, DEFINITE, POSSIBLE, Diagnostic)
 _WHOLE_ARRAY_WRITERS = {"sort", "fill", "swap"}
 #: builtins that atomically update array cells — protected by definition
 _ATOMIC_WRITERS = {"atomic_add", "atomic_min", "atomic_max"}
-#: builtins whose results are loop-invariant when their arguments are
-_PURE_INVARIANT = {"len", "rows", "cols"}
 #: kokkos entry points carrying a functor: name -> lambda argument slot
 _KOKKOS_FUNCTORS = {
     "parallel_for": 1,
@@ -75,81 +75,19 @@ _KOKKOS_FUNCTORS = {
 #: GPU intrinsics; a kernel calling any of these runs once per thread
 _GPU_INTRINSICS = {"thread_idx", "block_idx", "block_dim", "grid_dim",
                    "sync_threads"}
-#: GPU intrinsics whose value is the same on every thread
-_GPU_INVARIANT = {"block_dim", "grid_dim"}
-
-
-def _is_global_tid(expr) -> bool:
-    """Match the canonical ``block_idx() * block_dim() + thread_idx()``
-    global-thread-index idiom (in any commutative arrangement)."""
-    if not (isinstance(expr, A.Binary) and expr.op == "+"):
-        return False
-
-    def is_call(e, name):
-        return isinstance(e, A.Call) and e.func == name
-
-    def is_block_offset(e):
-        return (isinstance(e, A.Binary) and e.op == "*"
-                and ((is_call(e.left, "block_idx")
-                      and is_call(e.right, "block_dim"))
-                     or (is_call(e.left, "block_dim")
-                         and is_call(e.right, "block_idx"))))
-
-    return ((is_call(expr.left, "thread_idx")
-             and is_block_offset(expr.right))
-            or (is_call(expr.right, "thread_idx")
-                and is_block_offset(expr.left)))
-
-# -- index forms ------------------------------------------------------------
-
-#: a linear form is (coeff, offset-key); coeff 0 means loop-invariant.
-#: offset keys are canonical hashable trees built from folded literals
-#: and invariant names; DEP is represented as None.
-LinForm = Tuple[int, object]
-
-
-def _off_add(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a + b
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    return ("+", a, b)
-
-
-def _off_neg(a):
-    if isinstance(a, int):
-        return -a
-    return ("neg", a)
-
-
-def _off_mul(k: int, a):
-    if isinstance(a, int):
-        return k * a
-    if k == 1:
-        return a
-    return ("*", k, a)
 
 
 @dataclass
 class _Region:
     """One parallel region being analyzed."""
 
-    var: str                      # parallel induction variable
     kernel: str
-    kind: str                     # "omp" | "kokkos"
+    scope: loops.Scope
     reduction_vars: Set[str] = field(default_factory=set)
-    locals: Set[str] = field(default_factory=set)       # names bound inside
-    mutated: Set[str] = field(default_factory=set)      # reassigned inside
-    dep_vars: Set[str] = field(default_factory=set)     # nested loop vars etc.
-    private_arrays: Set[str] = field(default_factory=set)  # alloc'd inside
-    let_inits: Dict[str, A.Expr] = field(default_factory=dict)
     #: (array, form, node, protected, guarded)
     writes: List[tuple] = field(default_factory=list)
     #: (array, form, node)
     reads: List[tuple] = field(default_factory=list)
-    scalar_writes: List[tuple] = field(default_factory=list)  # (name, node, guarded)
 
 
 class _RaceAnalyzer:
@@ -192,150 +130,39 @@ class _RaceAnalyzer:
 
     def _analyze_omp_region(self, kernel: A.Kernel, pf: A.OmpParallelFor):
         loop = pf.loop
-        if self._trip_count_at_most_one(loop.lo, loop.hi, loop.step):
+        trips = loops.trip_count(loop.lo, loop.hi, loop.step)
+        if trips is not None and trips <= 1:
             return
-        region = _Region(var=loop.var, kernel=kernel.name, kind="omp")
-        for clause in pf.clauses:
-            if clause.kind == "reduction" and clause.var:
-                region.reduction_vars.add(clause.var)
-        self._collect_bindings(loop.body, region)
-        self._scan_block(loop.body, region, protected=False, guarded=False)
-        self._report(region, pf)
+        reductions = {c.var for c in pf.clauses
+                      if c.kind == "reduction" and c.var}
+        self._analyze(kernel, loops.scope_of(loop.body, loop.var),
+                      reductions)
 
     def _analyze_kokkos_region(self, kernel: A.Kernel, call: A.Call,
                                fn: A.Lambda):
-        n = call.args[0] if call.args else None
-        if isinstance(n, A.IntLit) and n.value <= 1:
+        trips = loops.trip_count(None, call.args[0] if call.args else None)
+        if (trips is not None and trips <= 1) or not fn.params:
             return
-        if not fn.params:
-            return
-        region = _Region(var=fn.params[0], kernel=kernel.name, kind="kokkos")
-        region.dep_vars.update(fn.params[1:])
-        body = fn.body_block
-        if body is not None:
-            self._collect_bindings(body, region)
-            self._scan_block(body, region, protected=False, guarded=False)
-        elif fn.body_expr is not None:
-            self._scan_expr(fn.body_expr, region, guarded=False)
-        self._report(region, call)
+        body = fn.body_block if fn.body_block is not None else fn.body_expr
+        self._analyze(kernel, loops.scope_of(body, fn.params[0],
+                                             dep=fn.params[1:]))
 
     def _analyze_gpu_region(self, kernel: A.Kernel):
         """The whole kernel body runs once per GPU thread; the induction
         variable is the global-thread-index idiom rather than a name."""
-        region = _Region(var="", kernel=kernel.name, kind="gpu")
-        self._collect_bindings(kernel.body, region)
-        self._scan_block(kernel.body, region, protected=False, guarded=False)
-        self._report(region, kernel)
+        self._analyze(kernel, loops.scope_of(kernel.body, gpu=True))
 
-    def _trip_count_at_most_one(self, lo, hi, step) -> bool:
-        if not (isinstance(lo, A.IntLit) and isinstance(hi, A.IntLit)):
-            return False
-        stride = 1
-        if step is not None:
-            if not isinstance(step, A.IntLit) or step.value <= 0:
-                return False
-            stride = step.value
-        span = hi.value - lo.value
-        return span <= stride
-
-    def _collect_bindings(self, block: A.Block, region: _Region):
-        """Names bound or reassigned anywhere inside the region.
-
-        ``let_inits`` is keyed by name, so a name ``let``-bound in more
-        than one (sibling or nested) scope is ambiguous — uses in one
-        scope must not resolve through another scope's initializer.
-        Such names stay in ``locals`` but are dropped from
-        ``let_inits``, which makes ``_lin`` classify them as DEP.
-        """
-        let_bound: Set[str] = set()
-        for node in A.walk(block):
-            if isinstance(node, A.Let):
-                region.locals.add(node.name)
-                if node.name in let_bound:
-                    region.let_inits.pop(node.name, None)
-                else:
-                    let_bound.add(node.name)
-                    region.let_inits[node.name] = node.init
-                if isinstance(node.init, A.Call) and \
-                        node.init.func.startswith("alloc"):
-                    region.private_arrays.add(node.name)
-            elif isinstance(node, A.Assign) and \
-                    isinstance(node.target, A.Name):
-                region.mutated.add(node.target.ident)
-            elif isinstance(node, A.For):
-                region.dep_vars.add(node.var)
-                region.locals.add(node.var)
-            elif isinstance(node, A.Lambda):
-                region.dep_vars.update(node.params)
-                region.locals.update(node.params)
+    def _analyze(self, kernel: A.Kernel, scope: loops.Scope,
+                 reductions: Set[str] = frozenset()):
+        region = _Region(kernel.name, scope, set(reductions))
+        self._scan(region)
+        self._report(region)
 
     # -- index classification ---------------------------------------------
 
-    def _lin(self, expr: A.Expr, region: _Region,
-             depth: int = 0) -> Optional[LinForm]:
-        """Affine form of ``expr`` w.r.t. the parallel variable, or None."""
-        if depth > 8:
-            return None
-        if region.kind == "gpu" and _is_global_tid(expr):
-            return (1, 0)
-        if isinstance(expr, A.IntLit):
-            return (0, expr.value)
-        if isinstance(expr, (A.FloatLit, A.BoolLit, A.StrLit)):
-            return (0, ("lit", repr(getattr(expr, "value", None))))
-        if isinstance(expr, A.Name):
-            name = expr.ident
-            if name == region.var:
-                return (1, 0)
-            if name in region.dep_vars or name in region.mutated:
-                return None
-            if name in region.let_inits:
-                return self._lin(region.let_inits[name], region, depth + 1)
-            if name in region.locals:
-                return None
-            return (0, ("sym", name))          # invariant outer name
-        if isinstance(expr, A.Unary):
-            if expr.op == "-":
-                inner = self._lin(expr.operand, region, depth + 1)
-                if inner is None:
-                    return None
-                return (-inner[0], _off_neg(inner[1]))
-            return None
-        if isinstance(expr, A.Binary):
-            left = self._lin(expr.left, region, depth + 1)
-            right = self._lin(expr.right, region, depth + 1)
-            if left is None or right is None:
-                return None
-            if expr.op == "+":
-                return (left[0] + right[0], _off_add(left[1], right[1]))
-            if expr.op == "-":
-                return (left[0] - right[0],
-                        _off_add(left[1], _off_neg(right[1])))
-            if expr.op == "*":
-                if left[0] == 0 and isinstance(left[1], int):
-                    return (left[1] * right[0], _off_mul(left[1], right[1]))
-                if right[0] == 0 and isinstance(right[1], int):
-                    return (right[1] * left[0], _off_mul(right[1], left[1]))
-                if left[0] == 0 and right[0] == 0:
-                    return (0, ("*sym", left[1], right[1]))
-                return None
-            if left[0] == 0 and right[0] == 0:
-                return (0, (expr.op, left[1], right[1]))
-            return None
-        if isinstance(expr, A.Call) and expr.func in _GPU_INVARIANT:
-            return (0, ("call", expr.func, ()))
-        if isinstance(expr, A.Call) and expr.func in _PURE_INVARIANT:
-            keys = []
-            for arg in expr.args:
-                form = self._lin(arg, region, depth + 1)
-                if form is None or form[0] != 0:
-                    return None
-                keys.append(form[1])
-            return (0, ("call", expr.func, tuple(keys)))
-        return None                            # Index reads, other calls, ...
-
     def _index_form(self, indices, region: _Region):
         """Tuple of per-dimension linear forms; None where DEP."""
-        return tuple(self._lin(ix, region) for ix in indices)
+        return tuple(loops.affine(ix, region.scope) for ix in indices)
 
     @staticmethod
     def _is_injective(form) -> bool:
@@ -350,112 +177,32 @@ class _RaceAnalyzer:
     def _is_affine(form) -> bool:
         return all(d is not None for d in form)
 
-    # -- statement / expression scan ---------------------------------------
+    # -- effect scan -------------------------------------------------------
 
     def _is_shared_array(self, name: str, region: _Region) -> bool:
-        return name not in region.private_arrays and name not in region.locals
+        scope = region.scope
+        return name not in scope.private_arrays and name not in scope.locals
 
-    @staticmethod
-    def _cond_trivially_true(cond: A.Expr) -> bool:
-        return isinstance(cond, A.BoolLit) and cond.value is True
-
-    def _scan_block(self, block: A.Block, region: _Region,
-                    protected: bool, guarded: bool):
-        for stmt in block.stmts:
-            self._scan_stmt(stmt, region, protected, guarded)
-
-    def _scan_stmt(self, stmt, region: _Region, protected: bool,
-                   guarded: bool):
-        if isinstance(stmt, A.Block):
-            self._scan_block(stmt, region, protected, guarded)
-        elif isinstance(stmt, A.Let):
-            self._scan_expr(stmt.init, region, guarded)
-        elif isinstance(stmt, A.Assign):
-            self._scan_assign(stmt, region, protected, guarded)
-        elif isinstance(stmt, A.If):
-            self._scan_expr(stmt.cond, region, guarded)
-            branch_guarded = guarded or \
-                not self._cond_trivially_true(stmt.cond)
-            self._scan_stmt(stmt.then, region, protected, branch_guarded)
-            if stmt.orelse is not None:
-                self._scan_stmt(stmt.orelse, region, protected,
-                                branch_guarded)
-        elif isinstance(stmt, A.For):
-            self._scan_expr(stmt.lo, region, guarded)
-            self._scan_expr(stmt.hi, region, guarded)
-            if stmt.step is not None:
-                self._scan_expr(stmt.step, region, guarded)
-            self._scan_block(stmt.body, region, protected, guarded)
-        elif isinstance(stmt, A.While):
-            self._scan_expr(stmt.cond, region, guarded)
-            self._scan_block(stmt.body, region, protected, guarded)
-        elif isinstance(stmt, A.Return):
-            if stmt.value is not None:
-                self._scan_expr(stmt.value, region, guarded)
-        elif isinstance(stmt, A.ExprStmt):
-            self._scan_expr(stmt.expr, region, guarded)
-        elif isinstance(stmt, A.OmpParallelFor):
-            # nested pragma: the inner loop still runs inside this region
-            self._scan_stmt(stmt.loop, region, protected, guarded)
-        elif isinstance(stmt, A.OmpCritical):
-            self._scan_block(stmt.body, region, protected=True,
-                             guarded=guarded)
-        elif isinstance(stmt, A.OmpAtomic):
-            self._scan_assign(stmt.update, region, protected=True,
-                              guarded=guarded)
-
-    def _scan_assign(self, stmt: A.Assign, region: _Region, protected: bool,
-                     guarded: bool):
-        target = stmt.target
-        if isinstance(target, A.Name):
-            name = target.ident
-            if name not in region.locals and \
-                    name not in region.reduction_vars and not protected:
-                region.scalar_writes.append((name, stmt, guarded))
-        elif isinstance(target, A.Index) and isinstance(target.base, A.Name):
-            array = target.base.ident
-            if self._is_shared_array(array, region):
-                form = self._index_form(target.indices, region)
-                region.writes.append((array, form, stmt, protected, guarded))
-                if stmt.op != "=":
-                    # compound update also reads the cell, same index
-                    region.reads.append((array, form, stmt))
-            for ix in target.indices:
-                self._scan_expr(ix, region, guarded)
-        self._scan_expr(stmt.value, region, guarded)
-
-    def _scan_expr(self, expr: A.Expr, region: _Region, guarded: bool):
-        if expr is None:
-            return
-        if isinstance(expr, A.Index):
-            if isinstance(expr.base, A.Name) and \
-                    self._is_shared_array(expr.base.ident, region):
-                form = self._index_form(expr.indices, region)
-                region.reads.append((expr.base.ident, form, expr))
-            for ix in expr.indices:
-                self._scan_expr(ix, region, guarded)
-            if not isinstance(expr.base, A.Name):
-                self._scan_expr(expr.base, region, guarded)
-            return
-        if isinstance(expr, A.Call):
-            self._scan_call(expr, region, guarded)
-            return
-        if isinstance(expr, A.Lambda):
-            if expr.body_block is not None:
-                self._scan_block(expr.body_block, region, protected=False,
-                                 guarded=guarded)
-            elif expr.body_expr is not None:
-                self._scan_expr(expr.body_expr, region, guarded)
-            return
-        if isinstance(expr, A.Unary):
-            self._scan_expr(expr.operand, region, guarded)
-        elif isinstance(expr, A.Binary):
-            self._scan_expr(expr.left, region, guarded)
-            self._scan_expr(expr.right, region, guarded)
+    def _scan(self, region: _Region):
+        """Classify the region's array effects, in source order."""
+        for node, protected, guarded in region.scope.effects:
+            if isinstance(node, A.Call):
+                self._scan_call(node, region, guarded)
+                continue
+            index = node.target if isinstance(node, A.Assign) else node
+            array = index.base.ident
+            if not self._is_shared_array(array, region):
+                continue
+            form = self._index_form(index.indices, region)
+            if index is node:
+                region.reads.append((array, form, node))
+                continue
+            region.writes.append((array, form, node, protected, guarded))
+            if node.op != "=":
+                # compound update also reads the cell, same index
+                region.reads.append((array, form, node))
 
     def _scan_call(self, call: A.Call, region: _Region, guarded: bool):
-        for arg in call.args:
-            self._scan_expr(arg, region, guarded)
         first = call.args[0] if call.args else None
         first_name = first.ident if isinstance(first, A.Name) else None
         shared_first = (first_name is not None and
@@ -497,14 +244,8 @@ class _RaceAnalyzer:
         self._in_progress.add(name)
         kernel = self.kernels[name]
         param_pos = {p.name: i for i, p in enumerate(kernel.params)}
-        reassigned = {
-            n.target.ident
-            for n in A.walk(kernel.body)
-            if isinstance(n, A.Assign) and isinstance(n.target, A.Name)
-        }
-        local = {n.name for n in A.walk(kernel.body) if isinstance(n, A.Let)}
-        local.update(n.var for n in A.walk(kernel.body)
-                     if isinstance(n, A.For))
+        scope = loops.scope_of(kernel.body)
+        reassigned, local = scope.mutated, scope.locals
         writes: Dict[str, Set[object]] = {}
         reads: Set[str] = set()
 
@@ -626,8 +367,9 @@ class _RaceAnalyzer:
             message=message, line=getattr(node, "line", 0),
             col=getattr(node, "col", 0), kernel=region.kernel))
 
-    def _report(self, region: _Region, region_node):
-        for name, node, guarded in region.scalar_writes:
+    def _report(self, region: _Region):
+        for name, node, guarded in region.scope.shared_writes(
+                region.reduction_vars):
             self._emit(
                 "shared-scalar-write",
                 POSSIBLE if guarded else DEFINITE,

@@ -9,13 +9,14 @@ tier (``quality``), mirroring the spread of code shapes real LLMs emit.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
+from ...bench.baselines import baseline_source
 from ...bench.problems import all_problems
 from ...bench.spec import EXECUTION_MODELS, Problem
 from .builders import Variant, build_variants
 
-__all__ = ["Variant", "bank", "variants_for", "build_variants"]
+__all__ = ["Variant", "bank", "corpus", "variants_for", "build_variants"]
 
 
 @lru_cache(maxsize=1)
@@ -30,3 +31,14 @@ def bank() -> Dict[Tuple[str, str], List[Variant]]:
 
 def variants_for(problem: Problem, model: str) -> List[Variant]:
     return bank()[(problem.name, model)]
+
+
+def corpus() -> Iterator[Tuple[str, str, str]]:
+    """``(label, model, source)`` for the handwritten corpus: each
+    problem's baseline (under ``serial``), then its solution variants."""
+    for problem in all_problems():
+        yield f"baseline/{problem.name}", "serial", \
+            baseline_source(problem.name)
+        for model in EXECUTION_MODELS:
+            for i, v in enumerate(variants_for(problem, model)):
+                yield f"{problem.name}/{model}[{i}]", model, v.source

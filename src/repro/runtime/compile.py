@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..lang import ast
+from ..lang import ast, loops
 from ..lang import builtins as bi
 from ..lang import types as T
 from ..lang.errors import RuntimeFailure, TrapError
@@ -475,26 +475,16 @@ class Compiler:
         """Recognize a ``while`` loop that provably never exits.
 
         The body must be only ``name += L`` / ``name -= L`` on int or
-        float scalars (L a numeric literal), the condition ``x OP b`` (OP
-        in ``< <= > >=``) on a stepped ``x`` and a literal or unassigned
-        name ``b``, and no step may move ``x`` toward the exit.  Steps on
+        float scalars (L a literal :func:`repro.lang.loops.fold_literal`
+        folds), the condition ``x OP b`` (OP in ``< <= > >=``) on a
+        stepped ``x`` and a literal or unassigned name ``b``, and no step
+        may move ``x`` toward the exit.  Steps on
         unbounded Python ints and IEEE floats are monotone and the tracer
         sees no scalars, so such a loop can only spin until the fuel
         check raises (docs/harness.md §Timeouts).  Returns the run-time
         half of the test (finite fuel, exact scalar types, condition true
         at entry), or None.
         """
-        lits = _vec._Builder(self, None)
-
-        def literal(e: ast.Expr):
-            node, sign = lits.expr(e), 1.0
-            if node is not None and not node.is_int and node.kind == "neg":
-                node, sign = node.a, -1.0
-            if node is None:
-                return None
-            if node.is_int:
-                return _vec._static_int(node)
-            return sign * node.value if node.kind == "lit" else None
 
         def kind_of(e: ast.Name) -> Optional[type]:
             t = self.checked.expr_types.get(id(e))
@@ -506,7 +496,7 @@ class Compiler:
             if not (isinstance(st, ast.Assign) and st.op in ("+=", "-=")
                     and isinstance(st.target, ast.Name)):
                 return None
-            kind, step = kind_of(st.target), literal(st.value)
+            kind, step = kind_of(st.target), loops.fold_literal(st.value)
             # finite and float-convertible; int targets take int steps only
             if (kind is None or step is None or not abs(step) < 2 ** 63
                     or (kind is int and type(step) is not int)):
@@ -526,7 +516,7 @@ class Compiler:
             if bound.ident in kinds or kind_of(bound) is None:
                 return None
             types[bound.ident] = kind_of(bound)
-        elif literal(bound) is None:
+        elif loops.fold_literal(bound) is None:
             return None
         # x > b and x >= b exit once x falls; x < b and x <= b once it rises
         away = 1 if op in (">", ">=") else -1
@@ -572,9 +562,9 @@ class Compiler:
             elif c.kind == "num_threads" and c.value is not None:
                 num_threads = self._compile_expr(c.value)[0]
 
-        outer = _collect_outer_writes(loop)
-        reduction_vars = {v for _, v in reductions}
-        outer_writes = tuple(sorted(outer - reduction_vars - {loop.var}))
+        shared = loops.scope_of(loop.body, loop.var).shared_writes(
+            v for _, v in reductions)
+        outer_writes = tuple(sorted({name for name, _, _ in shared}))
 
         info = PForInfo(
             var=loop.var, lo=lo, hi=hi, step=step, body=body,
@@ -762,46 +752,6 @@ _COMPOUND: Dict[str, Callable] = {
     "/=": lambda a, b: _fdiv(a, b) if isinstance(a, float) or isinstance(b, float)
     else _idiv(a, b),
 }
-
-
-def _collect_outer_writes(loop: ast.For) -> Set[str]:
-    """Names assigned (as scalars) in a parallel loop body but declared
-    outside it, excluding assignments protected by critical/atomic.
-
-    In OpenMP such variables are shared by default, so unprotected writes
-    are a data race — this is the static half of race detection (the
-    dynamic half, for arrays, lives in the tracer).
-    """
-    declared: Set[str] = {loop.var}
-    assigned: Set[str] = set()
-
-    def visit(node: ast.Node, protected: bool) -> None:
-        if isinstance(node, ast.Let):
-            declared.add(node.name)
-            visit(node.init, protected)
-            return
-        if isinstance(node, ast.For):
-            declared.add(node.var)
-        if isinstance(node, ast.Lambda):
-            declared.update(node.params)
-        if isinstance(node, (ast.OmpCritical, ast.OmpAtomic)):
-            protected = True
-        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Name):
-            if not protected:
-                assigned.add(node.target.ident)
-            visit(node.value, protected)
-            return
-        for slot in node.__dataclass_fields__:
-            v = getattr(node, slot)
-            if isinstance(v, ast.Node):
-                visit(v, protected)
-            elif isinstance(v, tuple):
-                for item in v:
-                    if isinstance(item, ast.Node):
-                        visit(item, protected)
-
-    visit(loop.body, False)
-    return assigned - declared
 
 
 # --------------------------------------------------------------------------

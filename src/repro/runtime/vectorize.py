@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..lang import ast
+from ..lang import ast, loops
 from ..lang import types as T
 from .tracer import ATOMIC, Tracer
 from .values import Array
@@ -190,39 +190,39 @@ class VecPlan:
 # plan construction (compile time)
 # --------------------------------------------------------------------------
 
-_LIT0 = VNode("lit", value=0, is_int=True)
 _ALLOWED_BIN = ("+", "-", "*")
 _ALLOWED_COMPOUND = ("+=", "-=", "*=")
 
 
-def _static_int(node: VNode) -> Optional[int]:
-    """Constant-fold a literal-only int subtree (for index coefficients)."""
-    if node.has_ivar or not node.is_int:
-        return None
-    if node.kind == "lit":
-        return node.value
-    if node.kind == "neg":
-        v = _static_int(node.a)
-        return None if v is None else -v
-    if node.kind == "bin":
-        a = _static_int(node.a)
-        b = _static_int(node.b)
+def _offset(key) -> Optional[VNode]:
+    """An affine offset from :func:`repro.lang.loops.affine` as an
+    invariant VNode, if it stays inside the bulk grammar: int literals,
+    names, ``+ - *`` and negation.  Offsets the race lint still accepts,
+    such as ``len(x) - 1``, have no bulk evaluation and reject the loop."""
+    if isinstance(key, int):
+        return VNode("lit", value=key, is_int=True)
+    tag = key[0]
+    if tag == "sym":
+        return VNode("name", ident=key[1], is_int=True)
+    if tag == "neg":
+        a = _offset(key[1])
+        return None if a is None else VNode("neg", a=a, is_int=True)
+    if tag in ("+", "*", "*sym"):
+        a, b = _offset(key[1]), _offset(key[2])
         if a is None or b is None:
             return None
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b
+        return VNode("bin", op="+" if tag == "+" else "*", a=a, b=b,
+                     is_int=True)
     return None
 
 
 class _Builder:
     """Walks a loop body, building the VNode IR or bailing out."""
 
-    def __init__(self, compiler, var: str):
+    def __init__(self, compiler, scope: loops.Scope):
         self.c = compiler
-        self.var = var
+        self.scope = scope
+        self.var = scope.var
 
     def type_of(self, e: ast.Expr):
         return self.c.checked.type_of(e)
@@ -278,70 +278,13 @@ class _Builder:
                      is_int=elem is T.INT, has_ivar=True)
 
     def affine(self, e: ast.Expr) -> Optional[Tuple[int, VNode]]:
-        """Decompose an int index expression into ``coeff * var + offset``
-        with a statically constant ``coeff`` and a loop-invariant,
-        load-free ``offset``."""
-        node = self._index_expr(e)
-        if node is None:
+        """``coeff * var + offset`` of an index expression, with the
+        offset inside the bulk grammar."""
+        form = loops.affine(e, self.scope)
+        if form is None:
             return None
-        return self._decompose(node)
-
-    def _index_expr(self, e: ast.Expr) -> Optional[VNode]:
-        node = self.expr(e)
-        if node is None or not node.is_int:
-            return None
-        if self._contains_load(node):
-            return None
-        return node
-
-    @staticmethod
-    def _contains_load(node: VNode) -> bool:
-        if node.kind == "load":
-            return True
-        for child in (node.a, node.b):
-            if child is not None and _Builder._contains_load(child):
-                return True
-        return False
-
-    def _decompose(self, node: VNode) -> Optional[Tuple[int, VNode]]:
-        if not node.has_ivar:
-            return 0, node
-        if node.kind == "ivar":
-            return 1, _LIT0
-        if node.kind == "neg":
-            inner = self._decompose(node.a)
-            if inner is None:
-                return None
-            c, off = inner
-            return -c, VNode("neg", a=off, is_int=True)
-        if node.kind == "bin":
-            if node.op == "*":
-                # exactly one side carries the loop var; the other must be
-                # a literal-constant int so the coefficient stays static
-                if node.a.has_ivar and not node.b.has_ivar:
-                    var_side, const_side = node.a, node.b
-                elif node.b.has_ivar and not node.a.has_ivar:
-                    var_side, const_side = node.b, node.a
-                else:
-                    return None
-                k = _static_int(const_side)
-                if k is None:
-                    return None
-                inner = self._decompose(var_side)
-                if inner is None:
-                    return None
-                c, off = inner
-                return c * k, VNode("bin", op="*", a=const_side, b=off,
-                                    is_int=True)
-            da = self._decompose(node.a)
-            db = self._decompose(node.b)
-            if da is None or db is None:
-                return None
-            ca, offa = da
-            cb, offb = db
-            off = VNode("bin", op=node.op, a=offa, b=offb, is_int=True)
-            return (ca + cb if node.op == "+" else ca - cb), off
-        return None
+        off = _offset(form[1])
+        return None if off is None else (form[0], off)
 
 
 def _walk(node: VNode, fn: Callable[[VNode], None]) -> None:
@@ -400,14 +343,14 @@ def build_stmt_plan(compiler, var: str, stmts) -> Optional[VecPlan]:
     affine element-wise grammar."""
     from .compile import W_BIN, W_LOAD, W_NAME, W_STORE
 
-    b = _Builder(compiler, var)
+    if not all(isinstance(s, ast.Assign) for s in stmts):
+        return None
+    b = _Builder(compiler, loops.scope_of(stmts, var))
     plan_stmts: List[object] = []
     sites: List[float] = []
     checked = compiler.checked
 
     for s in stmts:
-        if not isinstance(s, ast.Assign):
-            return None
         value = b.expr(s.value)
         if value is None:
             return None
@@ -467,7 +410,7 @@ def build_expr_plan(compiler, var: str, body_expr: ast.Expr) -> Optional[VecPlan
     """Plan for a side-effect-free expression lambda (Kokkos reduce/scan
     contributions): all lane values are computed in bulk; the pattern
     runtime folds or scans them."""
-    b = _Builder(compiler, var)
+    b = _Builder(compiler, loops.scope_of(body_expr, var))
     value = b.expr(body_expr)
     if value is None:
         return None

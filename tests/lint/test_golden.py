@@ -18,30 +18,16 @@ and say in the change log what moved and why.
 import dataclasses
 import hashlib
 
-from repro.bench import all_problems, baseline_source
-from repro.bench.spec import EXECUTION_MODELS
 from repro.lang import ast as A
 from repro.lang import compile_source
 from repro.lint import lint_source
-from repro.models.solutions import variants_for
+from repro.models.solutions import corpus
 from repro.runtime import vectorize
 from repro.runtime.compile import Compiler
 
 from .test_fuzz import _mutants
 
 GOLDEN = "d448f0815825fdf1f12893e196405aa7ab979248d2a16667896ccd62dad9022e"
-
-
-def _corpus():
-    """(label, model, source) for every baseline and solution variant."""
-    out = []
-    for problem in all_problems():
-        out.append((f"baseline/{problem.name}", "serial",
-                    baseline_source(problem.name)))
-        for model in EXECUTION_MODELS:
-            for i, v in enumerate(variants_for(problem, model)):
-                out.append((f"{problem.name}/{model}[{i}]", model, v.source))
-    return out
 
 
 def _plan_shape(plan):
@@ -77,22 +63,22 @@ def _plans(source):
 
 def _stream():
     lines = []
-    corpus = _corpus()
-    for label, model, source in corpus:
+    sources = list(corpus())
+    for label, model, source in sources:
         for d in lint_source(source, model):
             lines.append(f"lint {label} {dataclasses.astuple(d)!r}")
     for k, (problem, model, source) in enumerate(_mutants()):
         for d in lint_source(source, model):
             lines.append(f"mutant {k} {problem.name}/{model} "
                          f"{dataclasses.astuple(d)!r}")
-    for label, _, source in corpus:
+    for label, _, source in sources:
         for shape in _plans(source):
             lines.append(f"plan {label} {shape!r}")
     return lines
 
 
 def test_corpus_has_the_expected_size():
-    assert len(_corpus()) == 744
+    assert len(list(corpus())) == 744
 
 
 def test_loop_analysis_golden_digest():

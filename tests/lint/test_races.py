@@ -237,6 +237,22 @@ class TestOpenMP:
         """
         assert any(d.certainty == "definite" for d in diags(src, "openmp"))
 
+    def test_reassigned_parallel_variable_is_private_and_dependent(self):
+        # the variable is private to each iteration, so assigning it is no
+        # shared-scalar race; but x[i] no longer follows the iteration, and
+        # the tracer does see iterations collide on x[0]
+        src = """
+        kernel f(x: array<float>) {
+            pragma omp parallel for
+            for (i in 0..len(x)) {
+                i = 0;
+                x[i] = 1.0;
+            }
+        }
+        """
+        assert kinds(src, "openmp") == {("unprovable-write-index",
+                                         "possible")}
+
     def test_serial_model_has_no_race_regions(self):
         src = """
         kernel sum(x: array<float>) -> float {

@@ -4,11 +4,8 @@ import pytest
 
 from repro.lang import parse
 from repro.lang.errors import TrapError
-from repro.runtime.compile import (
-    _collect_outer_writes,
-    _idiv,
-    _imod,
-)
+from repro.lang.loops import scope_of
+from repro.runtime.compile import _idiv, _imod
 
 
 class TestCDivision:
@@ -38,18 +35,17 @@ class TestCDivision:
             _imod(1, 0)
 
 
-def _loop_of(src: str):
-    """Extract the first parallel-for loop of a kernel body."""
+def _pfor_of(src: str):
+    """Extract the first parallel-for statement of a kernel body."""
     prog = parse(src)
     for stmt in prog.kernels[0].body.stmts:
         if type(stmt).__name__ == "OmpParallelFor":
-            return stmt.loop
+            return stmt
     raise AssertionError("no parallel for found")
 
 
-class TestOuterWriteAnalysis:
-    def test_shared_scalar_detected(self):
-        loop = _loop_of("""
+_OUTER_WRITE_CASES = {
+    "shared_scalar_detected": ("""
         kernel f(x: array<float>) {
             let t = 0.0;
             pragma omp parallel for
@@ -57,11 +53,8 @@ class TestOuterWriteAnalysis:
                 t = x[i];
             }
         }
-        """)
-        assert _collect_outer_writes(loop) == {"t"}
-
-    def test_loop_local_let_is_private(self):
-        loop = _loop_of("""
+        """, {"t"}),
+    "loop_local_let_is_private": ("""
         kernel f(x: array<float>) {
             pragma omp parallel for
             for (i in 0..len(x)) {
@@ -70,11 +63,8 @@ class TestOuterWriteAnalysis:
                 x[i] = t;
             }
         }
-        """)
-        assert _collect_outer_writes(loop) == set()
-
-    def test_nested_loop_var_private(self):
-        loop = _loop_of("""
+        """, set()),
+    "nested_loop_var_private": ("""
         kernel f(m: array2d<float>) {
             pragma omp parallel for
             for (i in 0..rows(m)) {
@@ -83,11 +73,8 @@ class TestOuterWriteAnalysis:
                 }
             }
         }
-        """)
-        assert _collect_outer_writes(loop) == set()
-
-    def test_critical_protected_write_excluded(self):
-        loop = _loop_of("""
+        """, set()),
+    "critical_protected_write_excluded": ("""
         kernel f(x: array<float>) {
             let total = 0.0;
             pragma omp parallel for
@@ -98,11 +85,8 @@ class TestOuterWriteAnalysis:
                 }
             }
         }
-        """)
-        assert _collect_outer_writes(loop) == set()
-
-    def test_atomic_protected_write_excluded(self):
-        loop = _loop_of("""
+        """, set()),
+    "atomic_protected_write_excluded": ("""
         kernel f(x: array<float>) {
             let total = 0.0;
             pragma omp parallel for
@@ -111,11 +95,8 @@ class TestOuterWriteAnalysis:
                 total += x[i];
             }
         }
-        """)
-        assert _collect_outer_writes(loop) == set()
-
-    def test_lambda_params_private(self):
-        loop = _loop_of("""
+        """, set()),
+    "lambda_params_private": ("""
         kernel f(x: array<float>) {
             pragma omp parallel for
             for (i in 0..len(x)) {
@@ -124,11 +105,8 @@ class TestOuterWriteAnalysis:
                 });
             }
         }
-        """)
-        assert _collect_outer_writes(loop) == set()
-
-    def test_multiple_shared_writes(self):
-        loop = _loop_of("""
+        """, set()),
+    "multiple_shared_writes": ("""
         kernel f(x: array<float>) {
             let a = 0.0;
             let b = 0.0;
@@ -138,5 +116,38 @@ class TestOuterWriteAnalysis:
                 b = a + 1.0;
             }
         }
-        """)
-        assert _collect_outer_writes(loop) == {"a", "b"}
+        """, {"a", "b"}),
+    "reduction_variable_excluded": ("""
+        kernel f(x: array<float>) {
+            let total = 0.0;
+            let last = 0.0;
+            pragma omp parallel for reduction(+: total)
+            for (i in 0..len(x)) {
+                total += x[i];
+                last = x[i];
+            }
+        }
+        """, {"last"}),
+    "reassigned_loop_variable_is_private": ("""
+        kernel f(x: array<float>) {
+            pragma omp parallel for
+            for (i in 0..len(x)) {
+                i = 0;
+                x[i] = 1.0;
+            }
+        }
+        """, set()),
+}
+
+
+class TestOuterWriteAnalysis:
+    """The compiler's ``outer_writes``: the shared write set of
+    :func:`repro.lang.loops.scope_of` minus reduction variables."""
+
+    @pytest.mark.parametrize("case", sorted(_OUTER_WRITE_CASES))
+    def test_outer_writes(self, case):
+        src, expected = _OUTER_WRITE_CASES[case]
+        pf = _pfor_of(src)
+        reductions = [c.var for c in pf.clauses if c.kind == "reduction"]
+        shared = scope_of(pf.loop.body, pf.loop.var).shared_writes(reductions)
+        assert {name for name, _, _ in shared} == expected
