@@ -4,8 +4,9 @@ A parallel region (an ``omp parallel for`` body, a Kokkos functor, a GPU
 kernel) and a loop the numpy tier may run in bulk are judged on the same
 facts, computed here once over type-checked AST nodes:
 :func:`scope_of` (what the body binds, mutates and allocates, its
-unprotected scalar writes and its array effects), :func:`affine` (index forms ``coeff*var + off``),
-:func:`trip_count` and :func:`fold_literal`.
+unprotected scalar writes and its array effects), :func:`affine`
+(index forms ``coeff*var + off``), :func:`trip_count` and
+:func:`fold_literal`.
 
 An offset is a folded, hashable tree: an ``int``, ``("sym", name)`` for
 an invariant outer name, ``("+", a, b)``, ``("neg", a)``, ``("*", k, a)``

@@ -219,10 +219,11 @@ def _offset(key) -> Optional[VNode]:
 class _Builder:
     """Walks a loop body, building the VNode IR or bailing out."""
 
-    def __init__(self, compiler, scope: loops.Scope):
+    def __init__(self, compiler, var: str, body):
         self.c = compiler
-        self.scope = scope
-        self.var = scope.var
+        self.var = var
+        self.body = body
+        self.scope: Optional[loops.Scope] = None   # walked on first index
 
     def type_of(self, e: ast.Expr):
         return self.c.checked.type_of(e)
@@ -280,6 +281,8 @@ class _Builder:
     def affine(self, e: ast.Expr) -> Optional[Tuple[int, VNode]]:
         """``coeff * var + offset`` of an index expression, with the
         offset inside the bulk grammar."""
+        if self.scope is None:
+            self.scope = loops.scope_of(self.body, self.var)
         form = loops.affine(e, self.scope)
         if form is None:
             return None
@@ -343,14 +346,14 @@ def build_stmt_plan(compiler, var: str, stmts) -> Optional[VecPlan]:
     affine element-wise grammar."""
     from .compile import W_BIN, W_LOAD, W_NAME, W_STORE
 
-    if not all(isinstance(s, ast.Assign) for s in stmts):
-        return None
-    b = _Builder(compiler, loops.scope_of(stmts, var))
+    b = _Builder(compiler, var, stmts)
     plan_stmts: List[object] = []
     sites: List[float] = []
     checked = compiler.checked
 
     for s in stmts:
+        if not isinstance(s, ast.Assign):
+            return None
         value = b.expr(s.value)
         if value is None:
             return None
@@ -410,7 +413,7 @@ def build_expr_plan(compiler, var: str, body_expr: ast.Expr) -> Optional[VecPlan
     """Plan for a side-effect-free expression lambda (Kokkos reduce/scan
     contributions): all lane values are computed in bulk; the pattern
     runtime folds or scans them."""
-    b = _Builder(compiler, loops.scope_of(body_expr, var))
+    b = _Builder(compiler, var, body_expr)
     value = b.expr(body_expr)
     if value is None:
         return None
