@@ -378,7 +378,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workdir=Path(args.workdir), shards=1,
             jobs_per_shard=args.jobs, max_queue=args.queue,
             batch_window=args.batch_window, max_batch=args.max_batch,
-            batching=args.batching, vectorize=args.vectorize,
+            runner=Runner(vectorize=args.vectorize),
             retry_after_cap=args.retry_after_cap)
 
     if args.smoke:
@@ -553,9 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-window", type=float, default=0.05,
                    help="seconds to wait for co-batchable requests")
     p.add_argument("--max-batch", type=_positive_int, default=16,
-                   help="max requests coalesced into one batch")
-    p.add_argument("--no-batching", dest="batching", action="store_false",
-                   help="execute every request as its own batch")
+                   help="max requests coalesced into one batch (1 runs "
+                        "every request as its own batch)")
     p.add_argument("--retry-after-cap", type=float, default=60.0,
                    help="ceiling on the Retry-After hint sent with 429 "
                         "rejections, seconds")

@@ -56,6 +56,7 @@ regressions.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,6 +252,40 @@ def check_kill_resume(workdir: Union[str, Path],
                        "reproduced the reference run")
 
 
+def _serve_under_deaths(workdir: Union[str, Path],
+                        jobs: int) -> Tuple[EvalRun, dict]:
+    """Serve the chaos request on a fresh :class:`EvalService` while every
+    task's first worker attempt is killed and the batch's pool loop dies
+    once, right after its first task executes (``serve.batch.die``).
+    Returns the served run and the service's ``/metrics`` snapshot."""
+    import asyncio
+
+    from ..serve import EvalRequest, EvalService
+    from ..serve.client import ServiceClient
+
+    plan = FaultPlan(rules=(
+        FaultRule(point="sched.worker.kill", action="kill", match="#a0"),
+        FaultRule(point="serve.batch.die", action="abort",
+                  occurrences=(0,)),
+    ), seed=0)
+    request = EvalRequest(model=CHAOS_LLM, ptypes=CHAOS_PTYPES,
+                          exec_models=CHAOS_EXEC, samples=CHAOS_SAMPLES,
+                          seed=CHAOS_SEED)
+
+    async def serve_once() -> Tuple[EvalRun, dict]:
+        service = EvalService(Path(workdir), shards=1, jobs_per_shard=jobs,
+                              sample_cache=False)
+        await service.start()
+        try:
+            run = await ServiceClient(service).evaluate(request)
+        finally:
+            await service.shutdown(drain=True)
+        return run, service.metrics_snapshot()
+
+    with injector(plan):
+        return asyncio.run(serve_once())
+
+
 def check_serve_resilience(workdir: Union[str, Path],
                            jobs: int = 2) -> ChaosReport:
     """Batch pool-loop deaths + worker kills inside the service still
@@ -265,34 +300,9 @@ def check_serve_resilience(workdir: Union[str, Path],
     byte for byte — the differential guarantee under maximum
     infrastructure hostility.
     """
-    import asyncio
-
-    from ..serve import EvalRequest, EvalService
-    from ..serve.client import ServiceClient
-
     llm, bench = chaos_slice()
     reference = _eval(llm, bench)
-    plan = FaultPlan(rules=(
-        FaultRule(point="sched.worker.kill", action="kill", match="#a0"),
-        FaultRule(point="serve.batch.die", action="abort",
-                  occurrences=(0,)),
-    ), seed=0)
-    request = EvalRequest(model=CHAOS_LLM, ptypes=CHAOS_PTYPES,
-                          exec_models=CHAOS_EXEC, samples=CHAOS_SAMPLES,
-                          seed=CHAOS_SEED)
-
-    async def _serve_once() -> Tuple[EvalRun, dict]:
-        service = EvalService(Path(workdir), shards=1, jobs_per_shard=jobs,
-                              sample_cache=False)
-        await service.start()
-        try:
-            run = await ServiceClient(service).evaluate(request)
-        finally:
-            await service.shutdown(drain=True)
-        return run, service.metrics_snapshot()
-
-    with injector(plan):
-        served, snap = asyncio.run(_serve_once())
+    served, snap = _serve_under_deaths(workdir, jobs)
     if served.to_json() != reference.to_json():
         return ChaosReport("serve-resilience", False,
                            "served run under batch deaths + worker kills "
@@ -463,11 +473,7 @@ def check_dispatch_resilience(workdir: Union[str, Path],
       reference, with the ledger demonstrably consulted (non-vacuity:
       ``ledger_predictions >= 1`` and ``batch_restarts >= 1``).
     """
-    import asyncio
-
     from ..sched.scheduler import run_scheduled
-    from ..serve import EvalRequest, EvalService
-    from ..serve.client import ServiceClient
 
     llm, bench = chaos_slice()
     reference = _eval(llm, bench)
@@ -492,27 +498,7 @@ def check_dispatch_resilience(workdir: Union[str, Path],
         return ChaosReport("dispatch-resilience", False,
                            "the ledger-warming run diverged from the "
                            "reference")
-    plan = FaultPlan(rules=(
-        FaultRule(point="sched.worker.kill", action="kill", match="#a0"),
-        FaultRule(point="serve.batch.die", action="abort",
-                  occurrences=(0,)),
-    ), seed=0)
-    request = EvalRequest(model=CHAOS_LLM, ptypes=CHAOS_PTYPES,
-                          exec_models=CHAOS_EXEC, samples=CHAOS_SAMPLES,
-                          seed=CHAOS_SEED)
-
-    async def _serve_once() -> Tuple[EvalRun, dict]:
-        service = EvalService(serve_dir, shards=1, jobs_per_shard=jobs,
-                              sample_cache=False)
-        await service.start()
-        try:
-            run = await ServiceClient(service).evaluate(request)
-        finally:
-            await service.shutdown(drain=True)
-        return run, service.metrics_snapshot()
-
-    with injector(plan):
-        served, snap = asyncio.run(_serve_once())
+    served, snap = _serve_under_deaths(serve_dir, jobs)
     if served.to_json() != reference.to_json():
         return ChaosReport("dispatch-resilience", False,
                            "warm-ledger LPT serving under batch deaths + "
@@ -548,43 +534,35 @@ def run_chaos(seed: int = 11, jobs: int = 4,
     """
     emit = log or (lambda line: None)
     reports: List[ChaosReport] = []
-
-    def step(name: str, fn: Callable[[], ChaosReport]) -> None:
-        if only is not None and name != only:
-            return
-        emit(f"chaos: checking {name} ...")
-        report = fn()
-        emit(report.line())
-        reports.append(report)
-
-    step("injector-transparency", check_injector_transparency)
-    step("event-determinism", lambda: check_event_determinism(seed))
-    step("profile-determinism", lambda: check_profile_determinism(seed))
-    step("vectorize-resilience", lambda: check_vectorize_resilience(seed))
-    step("sched-resilience", lambda: check_sched_resilience(jobs))
-    if workdir is not None:
-        step("kill-resume",
-             lambda: check_kill_resume(workdir, jobs=min(jobs, 2), log=log))
-        step("serve-resilience",
-             lambda: check_serve_resilience(Path(workdir) / "serve",
-                                            jobs=min(jobs, 2)))
-        step("guard-resilience",
-             lambda: check_guard_resilience(Path(workdir) / "guard",
-                                            jobs=min(jobs, 2), log=log))
-        step("dispatch-resilience",
-             lambda: check_dispatch_resilience(Path(workdir) / "dispatch",
-                                               jobs=min(jobs, 2)))
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            step("kill-resume",
-                 lambda: check_kill_resume(tmp, jobs=min(jobs, 2), log=log))
-            step("serve-resilience",
-                 lambda: check_serve_resilience(Path(tmp) / "serve",
-                                                jobs=min(jobs, 2)))
-            step("guard-resilience",
-                 lambda: check_guard_resilience(Path(tmp) / "guard",
-                                                jobs=min(jobs, 2), log=log))
-            step("dispatch-resilience",
-                 lambda: check_dispatch_resilience(Path(tmp) / "dispatch",
-                                                   jobs=min(jobs, 2)))
+    pair = min(jobs, 2)
+    scratch = (tempfile.TemporaryDirectory(prefix="repro-chaos-")
+               if workdir is None else contextlib.nullcontext(workdir))
+    with scratch as root:
+        root = Path(root)
+        steps = (
+            ("injector-transparency", check_injector_transparency),
+            ("event-determinism", lambda: check_event_determinism(seed)),
+            ("profile-determinism",
+             lambda: check_profile_determinism(seed)),
+            ("vectorize-resilience",
+             lambda: check_vectorize_resilience(seed)),
+            ("sched-resilience", lambda: check_sched_resilience(jobs)),
+            ("kill-resume",
+             lambda: check_kill_resume(root, jobs=pair, log=log)),
+            ("serve-resilience",
+             lambda: check_serve_resilience(root / "serve", jobs=pair)),
+            ("guard-resilience",
+             lambda: check_guard_resilience(root / "guard", jobs=pair,
+                                            log=log)),
+            ("dispatch-resilience",
+             lambda: check_dispatch_resilience(root / "dispatch",
+                                               jobs=pair)),
+        )
+        for name, check in steps:
+            if only is not None and name != only:
+                continue
+            emit(f"chaos: checking {name} ...")
+            report = check()
+            emit(report.line())
+            reports.append(report)
     return reports

@@ -46,10 +46,9 @@ class TaskFinished:
     duration: float = 0.0       # wall seconds inside the worker loop
     attempts: int = 1
     diagnostics: int = 0        # MiniParSan findings on the result
-    #: observability riders from the worker payload: vectorized-tier
-    #: counters (vec_bulk_loops / vec_bulk_iters / vec_fallbacks) and the
-    #: task's compile-cache delta (compile_cache_hits / _misses).  Only
-    #: executed tasks carry them — replays describe work already counted.
+    #: observability riders from the worker payload, keyed by the names
+    #: in :data:`WORKER_COUNTERS`.  Only executed tasks carry them —
+    #: replays describe work already counted.
     counters: Dict[str, int] = field(default_factory=dict)
     #: cost prediction the dispatcher held for this task (0.0 when no
     #: prediction existed) and its provenance: "ledger" (seconds, from
@@ -103,25 +102,30 @@ class RunFinished:
     quarantined: int = 0
 
 
+#: every counter a worker result payload may carry.  Payload section
+#: ``body[section][key]`` reports as ``f"{section}_{key}"``: the
+#: vectorized-tier counters (``repro.runtime.vectorize.VecStats``) and the
+#: task's compile-cache delta.  Adding a worker counter means adding its
+#: producer in ``repro.sched.worker`` and its name here; ``Telemetry`` and
+#: the service's ``/metrics`` pick it up from this tuple.
+WORKER_COUNTERS = ("vec_bulk_loops", "vec_bulk_iters", "vec_fallbacks",
+                   "compile_cache_hits", "compile_cache_misses")
+
+
 def payload_counters(body: object) -> Dict[str, int]:
-    """Extract the observability counters from a worker result payload."""
+    """Extract the declared integer counters from a worker result
+    payload; undeclared and non-integer entries are dropped."""
     out: Dict[str, int] = {}
     if not isinstance(body, dict):
         return out
-    vec = body.get("vec")
-    if isinstance(vec, dict):
-        for key in ("bulk_loops", "bulk_iters", "fallbacks"):
-            try:
-                out[f"vec_{key}"] = int(vec.get(key, 0))
-            except (TypeError, ValueError):
-                pass
-    cache = body.get("compile_cache")
-    if isinstance(cache, dict):
-        for key in ("hits", "misses"):
-            try:
-                out[f"compile_cache_{key}"] = int(cache.get(key, 0))
-            except (TypeError, ValueError):
-                pass
+    for section, entries in body.items():
+        if not isinstance(entries, dict):
+            continue
+        for key, value in entries.items():
+            name = f"{section}_{key}"
+            if (name in WORKER_COUNTERS and isinstance(value, int)
+                    and not isinstance(value, bool)):
+                out[name] = value
     return out
 
 
@@ -159,13 +163,9 @@ class Telemetry:
     wall_seconds: float = 0.0
     #: always 0: kept only because the pipeline benchmark reads it
     hedges: int = 0
-    #: vectorized-tier counters summed over executed tasks
-    vec_bulk_loops: int = 0
-    vec_bulk_iters: int = 0
-    vec_fallbacks: int = 0
-    #: compile-cache traffic summed over executed tasks
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
+    #: worker counters (:data:`WORKER_COUNTERS`) summed over executed
+    #: tasks; a name no task reported is absent
+    counters: Dict[str, int] = field(default_factory=dict)
     #: cost-prediction provenance over executed tasks (repro.sched.predict):
     #: how many dispatches carried a ledger-history prediction vs the
     #: static-estimator fallback — the ledger *hit rate* numerator and
@@ -192,12 +192,8 @@ class Telemetry:
             self.busy_seconds += event.duration
             self.retries += max(0, event.attempts - 1)
             self.diagnostics += event.diagnostics
-            c = event.counters
-            self.vec_bulk_loops += c.get("vec_bulk_loops", 0)
-            self.vec_bulk_iters += c.get("vec_bulk_iters", 0)
-            self.vec_fallbacks += c.get("vec_fallbacks", 0)
-            self.compile_cache_hits += c.get("compile_cache_hits", 0)
-            self.compile_cache_misses += c.get("compile_cache_misses", 0)
+            for name, n in event.counters.items():
+                self.counters[name] = self.counters.get(name, 0) + n
             if event.source == SOURCE_EXECUTED:
                 if event.predicted_source == "ledger":
                     self.ledger_predictions += 1
@@ -243,6 +239,16 @@ class Telemetry:
     def total(self) -> int:
         return sum(self.counts.values())
 
+    @property
+    def compile_cache_hits(self) -> int:
+        # kept only because the pipeline benchmark reads it
+        return self.counters.get("compile_cache_hits", 0)
+
+    @property
+    def compile_cache_misses(self) -> int:
+        # kept only because the pipeline benchmark reads it
+        return self.counters.get("compile_cache_misses", 0)
+
     def ledger_hit_rate(self) -> float:
         """Fraction of executed-task dispatches predicted from ledger
         history (vs the static-estimator fallback)."""
@@ -273,12 +279,9 @@ class ProgressPrinter:
     def __init__(self, write: Callable[[str], None], every: int = 25):
         self.write = write
         self.every = max(1, every)
-        self._done = 0
 
     def __call__(self, event: object) -> None:
-        if isinstance(event, TaskFinished):
-            self._done += 1
-        elif isinstance(event, ProgressSnapshot):
+        if isinstance(event, ProgressSnapshot):
             if event.done and (event.done % self.every == 0
                                or event.done == event.total):
                 self.write(

@@ -3,7 +3,7 @@
 One :class:`ServiceMetrics` instance aggregates everything the
 ``/metrics`` endpoint exposes — admission counters, queue depth, wait/run
 latency histograms, batching effectiveness (tasks planned vs unique vs
-executed), worker-pool utilisation folded in from the scheduler's
+executed), the pool tallies of the service's one scheduler
 :class:`~repro.sched.events.Telemetry`, and the cost-category totals of
 profiled requests (:func:`repro.prof.run_cost_totals`).
 
@@ -14,9 +14,9 @@ thread while the HTTP handlers read from the event loop.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..sched.events import Telemetry
+from ..sched.events import WORKER_COUNTERS, Telemetry
 
 #: histogram bucket upper bounds, seconds (log-ish spacing; the last
 #: bucket is open-ended)
@@ -79,37 +79,18 @@ class ServiceMetrics:
         self.batched_requests = 0
         self.tasks_planned = 0      # naive sum over per-request plans
         self.tasks_unique = 0       # after cross-request content dedup
-        self.tasks_executed = 0
-        self.tasks_from_cache = 0
-        self.tasks_from_journal = 0
-        self.tasks_failed = 0
-        self.tasks_quarantined = 0
         #: pool-loop deaths a batch recovered from by journal replay
         self.batch_restarts = 0
-        # cost-predictive dispatch (repro.sched.predict): how often the
-        # duration ledger had history vs falling back to the static
-        # estimator, and how far ledger predictions missed (seconds)
-        self.ledger_predictions = 0
-        self.estimator_predictions = 0
-        self.pred_samples = 0
-        self.pred_abs_err_seconds = 0.0
-        # tier-2 vectorized execution + compile-cache traffic (folded
-        # from each batch's Telemetry; see repro.runtime.vectorize)
-        self.vec_bulk_loops = 0
-        self.vec_bulk_iters = 0
-        self.vec_fallbacks = 0
-        self.compile_cache_hits = 0
-        self.compile_cache_misses = 0
+        #: the one pool tally: every batch's scheduler events, folded per
+        #: event (:meth:`observe`) — task provenance, worker counters,
+        #: cost-prediction health, busy time and crashes
+        self.telemetry = Telemetry()
         # latency
         self.wait_seconds = Histogram()
         self.run_seconds = Histogram()
         #: exponential moving average of per-batch wall seconds — feeds
         #: the Retry-After estimate on overload rejections
         self.ema_batch_seconds = 0.0
-        # worker-pool accounting, summed over batches
-        self.pool_busy_seconds = 0.0
-        self.pool_tasks = 0
-        self.pool_crashes = 0
         # cost-category totals of profiled completed requests
         self.profile_totals: Dict[str, float] = {}
 
@@ -159,27 +140,14 @@ class ServiceMetrics:
                 self.ema_batch_seconds = (alpha * wall_seconds
                                           + (1 - alpha) * self.ema_batch_seconds)
 
-    def record_pool(self, telemetry: Telemetry, restarts: int = 0) -> None:
-        """Fold one batch's pool Telemetry into the service aggregate."""
+    def observe(self, event: object) -> None:
+        """Event sink: fold one scheduler event into the pool tally."""
         with self._lock:
-            self.tasks_executed += telemetry.executed
-            self.tasks_from_cache += telemetry.from_cache
-            self.tasks_from_journal += telemetry.from_journal
-            self.tasks_failed += telemetry.failed
-            self.tasks_quarantined += telemetry.quarantined
-            self.batch_restarts += restarts
-            self.ledger_predictions += telemetry.ledger_predictions
-            self.estimator_predictions += telemetry.estimator_predictions
-            self.pred_samples += telemetry.pred_samples
-            self.pred_abs_err_seconds += telemetry.pred_abs_err_seconds
-            self.vec_bulk_loops += telemetry.vec_bulk_loops
-            self.vec_bulk_iters += telemetry.vec_bulk_iters
-            self.vec_fallbacks += telemetry.vec_fallbacks
-            self.compile_cache_hits += telemetry.compile_cache_hits
-            self.compile_cache_misses += telemetry.compile_cache_misses
-            self.pool_busy_seconds += telemetry.busy_seconds
-            self.pool_tasks += telemetry.total
-            self.pool_crashes += telemetry.crashes
+            self.telemetry(event)
+
+    def record_restart(self) -> None:
+        with self._lock:
+            self.batch_restarts += 1
 
     def record_profile(self, totals: Dict[str, float]) -> None:
         with self._lock:
@@ -187,11 +155,6 @@ class ServiceMetrics:
                 self.profile_totals[cat] = self.profile_totals.get(cat, 0.0) + v
 
     # -- reading ------------------------------------------------------------
-
-    def dedup_saved(self) -> int:
-        """Tasks that cross-request batching removed before execution."""
-        with self._lock:
-            return self.tasks_planned - self.tasks_unique
 
     def retry_after(self, inflight: int) -> int:
         """Integer seconds a rejected client should back off — queue depth
@@ -207,6 +170,7 @@ class ServiceMetrics:
                  state: str = "") -> Dict[str, object]:
         """One JSON-able dict: the body of ``GET /metrics``."""
         with self._lock:
+            t = self.telemetry
             return {
                 "state": state,
                 "queue_depth": queue_depth,
@@ -221,38 +185,29 @@ class ServiceMetrics:
                 "tasks_planned": self.tasks_planned,
                 "tasks_unique": self.tasks_unique,
                 "tasks_deduped": self.tasks_planned - self.tasks_unique,
-                "tasks_executed": self.tasks_executed,
-                "tasks_from_cache": self.tasks_from_cache,
-                "tasks_from_journal": self.tasks_from_journal,
-                "tasks_failed": self.tasks_failed,
-                "tasks_quarantined": self.tasks_quarantined,
+                "tasks_executed": t.executed,
+                "tasks_from_cache": t.from_cache,
+                "tasks_from_journal": t.from_journal,
+                "tasks_failed": t.failed,
+                "tasks_quarantined": t.quarantined,
                 "batch_restarts": self.batch_restarts,
                 # always 0: kept only because the pipeline benchmark reads it
                 "hedges": 0,
-                "ledger_predictions": self.ledger_predictions,
-                "estimator_predictions": self.estimator_predictions,
-                "ledger_hit_rate": (
-                    self.ledger_predictions
-                    / (self.ledger_predictions + self.estimator_predictions)
-                    if (self.ledger_predictions
-                        + self.estimator_predictions) else 0.0),
-                "pred_mae_seconds": (
-                    self.pred_abs_err_seconds / self.pred_samples
-                    if self.pred_samples else 0.0),
-                "vec_bulk_loops": self.vec_bulk_loops,
-                "vec_bulk_iters": self.vec_bulk_iters,
-                "vec_fallbacks": self.vec_fallbacks,
-                "compile_cache_hits": self.compile_cache_hits,
-                "compile_cache_misses": self.compile_cache_misses,
+                "ledger_predictions": t.ledger_predictions,
+                "estimator_predictions": t.estimator_predictions,
+                "ledger_hit_rate": t.ledger_hit_rate(),
+                "pred_mae_seconds": t.pred_mae_seconds(),
+                **{name: t.counters.get(name, 0)
+                   for name in WORKER_COUNTERS},
                 "ema_batch_seconds": self.ema_batch_seconds,
                 "wait_seconds": self.wait_seconds.to_dict(),
                 "run_seconds": self.run_seconds.to_dict(),
                 # one entry, the pool: kept only because the pipeline
                 # benchmark reads it
                 "shards": {"0": {
-                    "busy_seconds": self.pool_busy_seconds,
-                    "tasks": self.pool_tasks,
-                    "crashes": self.pool_crashes,
+                    "busy_seconds": t.busy_seconds,
+                    "tasks": t.total,
+                    "crashes": t.crashes,
                 }},
                 "profile_totals": dict(self.profile_totals),
             }

@@ -49,7 +49,6 @@ from ..sched.events import (
     SOURCE_EXECUTED,
     SchedulerAbort,
     TaskFinished,
-    Telemetry,
     chain,
 )
 from ..sched.journal import Journal, SampleCache
@@ -214,27 +213,20 @@ class EvalService:
                  max_queue: int = 64,
                  batch_window: float = 0.05,
                  max_batch: int = 16,
-                 batching: bool = True,
                  sample_cache: bool = True,
                  task_timeout: Optional[float] = 120.0,
                  max_retries: int = 2,
-                 vectorize: bool = True,
                  retry_after_cap: float = 60.0):
         if shards < 1 or jobs_per_shard < 1:
             raise ValueError("shards and jobs_per_shard must be >= 1")
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        # an explicit runner wins; otherwise the vectorize toggle picks
-        # the execution tier for the default runner (results identical
-        # either way — the tier only changes interpreter throughput)
-        self.runner = (runner if runner is not None
-                       else Runner(vectorize=vectorize))
-        self.vectorize = self.runner.vectorize
+        self.runner = runner if runner is not None else Runner()
         self.jobs = shards * jobs_per_shard
         self.max_queue = max_queue
         self.batch_window = batch_window
-        self.max_batch = max_batch if batching else 1
-        self.batching = batching
+        #: 1 runs every request as its own batch
+        self.max_batch = max_batch
         self.cache_dir = (self.workdir / "cache") if sample_cache else None
         self.task_timeout = task_timeout
         self.max_retries = max_retries
@@ -246,8 +238,9 @@ class EvalService:
         warm = self.ledger.predict(BATCH_EMA_KEY)
         if warm is not None:
             self.metrics.seed_ema(warm)
-        #: run-level telemetry aggregate over every batch
-        self.telemetry = Telemetry()
+        #: the service's one pool tally, over every batch; ``/metrics``
+        #: reads it
+        self.telemetry = self.metrics.telemetry
         self.tickets: Dict[str, RequestTicket] = {}
         self._ids = itertools.count(1)
         self._queue: asyncio.Queue = asyncio.Queue()
@@ -452,19 +445,17 @@ class EvalService:
                                     event.duration)
 
         key = batch_key(union)
-        telemetry = Telemetry()
-        sink = chain(observe, telemetry, self.telemetry)
+        sink = chain(observe, self.metrics.observe)
         cache = (SampleCache(self.cache_dir)
                  if self.cache_dir is not None else None)
         journal = Journal(self.workdir / "batch.journal.jsonl")
         results: Dict[str, dict] = {}
         failures: Dict[str, str] = {}
-        restarts = 0
         error = ""
         try:
             for attempt in range(BATCH_RESTARTS + 1):
                 if attempt:
-                    restarts += 1
+                    self.metrics.record_restart()
                     replay_journal(journal, key, union, results, sink)
                 journal.start(key, fresh=(attempt == 0))
                 try:
@@ -484,7 +475,6 @@ class EvalService:
                 replay_journal(journal, key, union, results, sink)
         finally:
             journal.close()
-        self.metrics.record_pool(telemetry, restarts=restarts)
         for task_id, spec in union.items():
             if task_id not in results:
                 results[task_id] = failure_payload(spec.kind, failures.get(

@@ -155,8 +155,9 @@ class TestSchedulerTelemetry:
         telemetry = Telemetry()
         evaluate_model(load_model("GPT-4"), bench, num_samples=2, seed=5,
                        jobs=1, events=telemetry)
-        assert telemetry.vec_bulk_loops > 0
-        assert telemetry.vec_bulk_iters >= telemetry.vec_bulk_loops
+        assert telemetry.counters["vec_bulk_loops"] > 0
+        assert (telemetry.counters["vec_bulk_iters"]
+                >= telemetry.counters["vec_bulk_loops"])
         total_cache = (telemetry.compile_cache_hits
                        + telemetry.compile_cache_misses)
         assert total_cache > 0

@@ -68,7 +68,7 @@ class TestCoalescing:
             ids = [client.submit(request) for _ in range(2)]
             return await asyncio.gather(*(client.result(i) for i in ids))
 
-        runs, service = run_with_service(tmp_path, go, batching=False)
+        runs, service = run_with_service(tmp_path, go, max_batch=1)
         snap = service.metrics_snapshot()
         assert snap["batches"] == 2
         reference = direct_reference(request).to_json()

@@ -2,10 +2,18 @@
 direct ``evaluate_model`` call it stands in for — records, CSV export,
 profiles, and digest — plus request validation and ticket lifecycle."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.analysis import profile_csv, to_csv
-from repro.serve import EvalRequest, ServiceClient
+from repro.sched.events import (
+    SOURCE_EXECUTED,
+    WORKER_COUNTERS,
+    TaskFinished,
+)
+from repro.serve import EvalRequest, ServiceClient, ServiceMetrics
 from repro.serve.service import DONE
 
 from .conftest import direct_reference, make_request, run_with_service
@@ -79,6 +87,80 @@ class TestMetricsContract:
         (pool,) = snap["shards"].values()
         assert pool["busy_seconds"] > 0.0
         assert pool["tasks"] == snap["tasks_executed"]
+
+
+class TestPoolTally:
+    def test_metrics_read_the_one_service_telemetry(self, tmp_path):
+        """Two batches, the second served entirely from the sample cache:
+        every pool key of ``/metrics`` is the service's one Telemetry,
+        and the worker counters stay reported after a batch that
+        executed nothing."""
+        async def go(service):
+            client = ServiceClient(service)
+            snaps = []
+            for _ in range(2):
+                await client.evaluate(make_request())
+                snaps.append(service.metrics_snapshot())
+            return snaps
+
+        (first, second), service = run_with_service(tmp_path, go,
+                                                    sample_cache=True)
+        t = service.telemetry
+        assert t is service.metrics.telemetry
+        assert second["batches"] == 2
+        assert first["tasks_executed"] == first["tasks_unique"] > 0
+        assert second["tasks_executed"] == first["tasks_executed"]
+        assert second["tasks_from_cache"] == (second["tasks_unique"]
+                                              - first["tasks_unique"])
+        for key, value in (("tasks_executed", t.executed),
+                           ("tasks_from_cache", t.from_cache),
+                           ("tasks_from_journal", t.from_journal),
+                           ("tasks_failed", t.failed),
+                           ("tasks_quarantined", t.quarantined),
+                           ("ledger_predictions", t.ledger_predictions),
+                           ("estimator_predictions",
+                            t.estimator_predictions),
+                           ("ledger_hit_rate", t.ledger_hit_rate()),
+                           ("pred_mae_seconds", t.pred_mae_seconds())):
+            assert second[key] == value, key
+        assert second["shards"] == {"0": {"busy_seconds": t.busy_seconds,
+                                          "tasks": t.total,
+                                          "crashes": t.crashes}}
+        assert t.compile_cache_hits + t.compile_cache_misses > 0
+        assert set(WORKER_COUNTERS) <= set(second)
+        for name in WORKER_COUNTERS:
+            assert second[name] == t.counters.get(name, 0), name
+            assert second[name] == first[name], name
+
+    def test_concurrent_observe_loses_no_update(self):
+        """Every read-modify-write of the shared Telemetry happens under
+        the metrics lock, whichever thread folds the event."""
+        metrics = ServiceMetrics(workers=1)
+        threads, per_thread = 8, 2000
+        event = TaskFinished("t", "sample", SOURCE_EXECUTED, duration=0.5,
+                             counters={"vec_bulk_loops": 1})
+
+        def fold():
+            for _ in range(per_thread):
+                metrics.observe(event)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fold)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        snap = metrics.snapshot()
+        assert snap["tasks_executed"] == threads * per_thread
+        assert snap["vec_bulk_loops"] == threads * per_thread
+        assert snap["shards"]["0"]["busy_seconds"] == \
+            0.5 * threads * per_thread
 
 
 class TestTicketLifecycle:
