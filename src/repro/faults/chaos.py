@@ -534,7 +534,7 @@ def run_chaos(seed: int = 11, jobs: int = 4,
     """
     emit = log or (lambda line: None)
     reports: List[ChaosReport] = []
-    pair = min(jobs, 2)
+    workdir_jobs = min(jobs, 2)
     scratch = (tempfile.TemporaryDirectory(prefix="repro-chaos-")
                if workdir is None else contextlib.nullcontext(workdir))
     with scratch as root:
@@ -548,15 +548,16 @@ def run_chaos(seed: int = 11, jobs: int = 4,
              lambda: check_vectorize_resilience(seed)),
             ("sched-resilience", lambda: check_sched_resilience(jobs)),
             ("kill-resume",
-             lambda: check_kill_resume(root, jobs=pair, log=log)),
+             lambda: check_kill_resume(root, jobs=workdir_jobs, log=log)),
             ("serve-resilience",
-             lambda: check_serve_resilience(root / "serve", jobs=pair)),
+             lambda: check_serve_resilience(root / "serve",
+                                            jobs=workdir_jobs)),
             ("guard-resilience",
-             lambda: check_guard_resilience(root / "guard", jobs=pair,
-                                            log=log)),
+             lambda: check_guard_resilience(root / "guard",
+                                            jobs=workdir_jobs, log=log)),
             ("dispatch-resilience",
              lambda: check_dispatch_resilience(root / "dispatch",
-                                               jobs=pair)),
+                                               jobs=workdir_jobs)),
         )
         for name, check in steps:
             if only is not None and name != only:
