@@ -34,7 +34,7 @@ def _serve_burst(workdir, batching):
 
     async def main():
         service = EvalService(workdir, shards=1, jobs_per_shard=2,
-                              sample_cache=False, batch_window=0.2,
+                              sample_cache=False,
                               max_batch=len(_BURST) if batching else 1,
                               max_queue=len(_BURST))
         await service.start()

@@ -377,7 +377,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return EvalService(
             workdir=Path(args.workdir), shards=1,
             jobs_per_shard=args.jobs, max_queue=args.queue,
-            batch_window=args.batch_window, max_batch=args.max_batch,
+            max_batch=args.max_batch,
             runner=Runner(vectorize=args.vectorize),
             retry_after_cap=args.retry_after_cap)
 
@@ -550,8 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes in the pool each batch runs on")
     p.add_argument("--queue", type=_positive_int, default=64,
                    help="max in-flight requests before 429 rejections")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="seconds to wait for co-batchable requests")
     p.add_argument("--max-batch", type=_positive_int, default=16,
                    help="max requests coalesced into one batch (1 runs "
                         "every request as its own batch)")

@@ -94,6 +94,30 @@ def _child_main(conn, kill_at: Optional[int], plan: Optional[FaultPlan],
         conn.close()
 
 
+#: how often the supervisor checks whether a silent child is still alive
+_LIVENESS_POLL_S = 0.05
+
+
+def _await_payload(conn, proc) -> Optional[dict]:
+    """The child's one message, or None when it died without sending it.
+
+    EOF on the pipe is not a death notice: pool workers the child forked
+    inherit the pipe's write end (and the process sentinel's), so EOF
+    waits for every one of them to exit too.  Poll the pipe and
+    ``proc.is_alive()`` instead, and once the child is gone read any
+    message it sent before it died.
+    """
+    while not conn.poll(_LIVENESS_POLL_S):
+        if not proc.is_alive():
+            if not conn.poll():
+                return None         # died without a word (SIGKILL)
+            break
+    try:
+        return conn.recv()
+    except EOFError:                # every write end closed, no message
+        return None
+
+
 def run_supervised(llm, bench, *, workdir: Union[str, Path],
                    kill_at: Optional[int] = None,
                    plan: Optional[FaultPlan] = None,
@@ -125,9 +149,7 @@ def run_supervised(llm, bench, *, workdir: Union[str, Path],
         proc.start()
         child_conn.close()
         try:
-            payload = parent_conn.recv()
-        except EOFError:            # SIGKILL: the pipe just went away
-            payload = None
+            payload = _await_payload(parent_conn, proc)
         finally:
             parent_conn.close()
         proc.join()

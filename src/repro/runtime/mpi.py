@@ -1,8 +1,8 @@
 """MPI runtime: executes a MiniPar program on N simulated ranks.
 
-Each rank runs the compiled kernel on its own OS thread with a private
-:class:`ExecCtx` (its local clock, in scaled op units).  Ranks interact
-only through :class:`CommWorld`:
+Each rank runs the compiled kernel with a private :class:`ExecCtx` (its
+local clock, in scaled op units).  Ranks interact only through
+:class:`CommWorld`:
 
 * point-to-point: buffered sends append to per-(src, dst, tag) FIFO
   queues stamped with an arrival time from the alpha-beta network model;
@@ -12,22 +12,35 @@ only through :class:`CommWorld`:
   collective must agree on (kind, root, op) or the run aborts with
   :class:`MPIUsageError` (the moral equivalent of MPI's undefined
   behaviour on mismatched collectives, surfaced deterministically);
-* deadlock: all live ranks blocked with nothing deliverable ⇒
-  :class:`DeadlockError` on every rank.  A rank that *finishes* while
-  others still wait for it also triggers detection.
+* deadlock: the state where no rank can run ⇒ :class:`DeadlockError` on
+  every rank.
+
+Ranks are coroutines scheduled by baton passing.  Exactly one rank of a
+job runs at a time; it yields only when it blocks (an unmatched receive,
+an incomplete collective) or finishes.  Control then passes, through a
+per-rank semaphore, to the next runnable rank scanning cyclically from
+the one that yielded: a rank that has not started yet, or a blocked rank
+whose wait condition now holds.  When the scan finds none, the job is
+deadlocked — exactly, with no polling and no timeout.  Each rank runs on
+a parked OS thread taken from a process-wide list that grows on demand
+(:func:`_rank_threads`), so a timing sweep does not start and join a
+thread per rank on every run.
 
 Message values are copied on send (MPI has no shared memory), and all
 message matching is (src, tag)-deterministic, so results do not depend on
-thread scheduling.  Simulated time = max over ranks of the final clock.
+the order ranks run in.  Simulated time = max over ranks of the final
+clock.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import inject
 from ..lang.errors import DeadlockError, MiniParError, MPIUsageError, RuntimeFailure
@@ -38,6 +51,9 @@ from .runtimes import BaseRuntime, OpenMPRuntime, fold, run_loop_serial
 from .values import Array, deep_copy_value, nbytes
 
 _SCALAR_COLLECTIVE_BYTES = 8
+
+# rank states in CommWorld.state
+_FRESH, _RUNNING, _BLOCKED, _DONE = range(4)
 
 
 class _Abort(MiniParError):
@@ -55,72 +71,116 @@ class _Collective:
 
 
 class CommWorld:
-    """Shared state connecting the rank threads of one MPI job."""
+    """Shared state and the baton scheduler of one MPI job's ranks.
+
+    Only the rank holding the baton (``current``) touches this state, so
+    it needs no lock; the one exception is :meth:`abort`, which the host
+    watchdog may call from outside the job.
+    """
 
     def __init__(self, nranks: int, machine: Machine, work_scale: float):
         self.nranks = nranks
         self.machine = machine
         self.scale = work_scale
-        self.cond = threading.Condition()
         self.queues: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
-        self.blocked = 0
         self.alive = nranks
         self.failure: Optional[BaseException] = None
         self.collectives: Dict[int, _Collective] = {}
-        self.waiters: Dict[int, object] = {}
-        self._next_waiter = 0
-
-    # All methods below must be called with self.cond held. ------------------
+        #: per rank: the semaphore its thread parks on while not running
+        self.batons: List[threading.Lock] = []
+        self.state = [_FRESH] * nranks
+        #: per blocked rank: the condition it waits for
+        self.blocked_on: List[Optional[Callable[[], bool]]] = [None] * nranks
+        self.current = 0
+        #: set once every rank has finished
+        self.finished = threading.Event()
+        self._failure_lock = threading.Lock()
 
     def _units(self, seconds: float) -> float:
         return seconds / self.machine.cpu.cycle
 
     def abort(self, exc: BaseException) -> None:
-        if self.failure is None:
-            self.failure = exc
-        self.cond.notify_all()
+        with self._failure_lock:
+            if self.failure is None:
+                self.failure = exc
 
     def check_abort(self) -> None:
         if self.failure is not None:
             raise _Abort()
 
-    def _all_stuck(self) -> bool:
-        """True when no registered waiter's predicate is satisfiable.
+    # -- baton passing ---------------------------------------------------------
 
-        A blocked rank whose predicate just became true still counts in
-        ``blocked`` until it wakes, so deadlock is only declared after
-        re-evaluating every waiter's condition under the lock.
+    def _runnable_after(self, rank: int) -> Optional[int]:
+        """The first runnable rank scanning cyclically after ``rank``.
+
+        After a failure every unfinished rank is runnable: it runs only
+        to unwind.
         """
-        return all(not p() for p in self.waiters.values())
+        n = self.nranks
+        state, blocked_on = self.state, self.blocked_on
+        for i in range(rank + 1, rank + n):
+            r = i - n if i >= n else i
+            s = state[r]
+            if s == _FRESH:
+                return r
+            if s == _BLOCKED and (self.failure is not None
+                                  or blocked_on[r]()):
+                return r
+        return None
 
-    def wait_for(self, predicate) -> None:
-        """Block until predicate() or the world aborts; detects deadlock."""
-        self.blocked += 1
-        wid = self._next_waiter
-        self._next_waiter += 1
-        self.waiters[wid] = predicate
-        try:
-            while not predicate():
-                self.check_abort()
-                if self.blocked >= self.alive and self._all_stuck():
-                    self.abort(DeadlockError(
-                        f"deadlock: all {self.alive} live rank(s) blocked with "
-                        "no deliverable messages"
-                    ))
-                    raise _Abort()
-                self.cond.wait(timeout=10.0)
+    def _hand_to(self, rank: int) -> Callable[[], None]:
+        """Make ``rank`` the running rank; the caller then calls the
+        returned release of its semaphore."""
+        self.current = rank
+        self.state[rank] = _RUNNING
+        self.blocked_on[rank] = None
+        return self.batons[rank].release
+
+    def start(self) -> None:
+        self._hand_to(0)()
+
+    def wait_for(self, predicate: Callable[[], bool]) -> None:
+        """Block the running rank until predicate() or the world aborts.
+
+        The baton goes to the next runnable rank; with none, every live
+        rank is blocked on a condition no rank can make true: deadlock.
+        The detecting rank unwinds without releasing its own semaphore:
+        that permit would outlive the job and start an empty one on the
+        thread once it is parked.
+        """
+        if not predicate():
             self.check_abort()
-        finally:
-            del self.waiters[wid]
-            self.blocked -= 1
+            rank = self.current
+            nxt = self._runnable_after(rank)
+            if nxt is None:
+                self.abort(DeadlockError(
+                    f"deadlock: all {self.alive} live rank(s) blocked with "
+                    "no deliverable messages"
+                ))
+                raise _Abort()
+            self.state[rank] = _BLOCKED
+            self.blocked_on[rank] = predicate
+            baton = self.batons[rank]
+            self._hand_to(nxt)()
+            baton.acquire()
+        self.check_abort()
 
-    def finish_rank(self) -> None:
+    def finish_rank(self) -> Callable[[], None]:
+        """Retire the running rank; returns the hand-off (wake the next
+        rank, or signal the job finished) that its thread calls once it
+        is back on the idle list."""
+        rank = self.current
+        self.state[rank] = _DONE
         self.alive -= 1
-        if 0 < self.alive <= self.blocked and self._all_stuck():
+        nxt = self._runnable_after(rank)
+        if nxt is None and self.alive:
             self.abort(DeadlockError(
                 "deadlock: remaining rank(s) blocked after peers finished"
             ))
-        self.cond.notify_all()
+            nxt = self._runnable_after(rank)
+        if nxt is None:
+            return self.finished.set
+        return self._hand_to(nxt)
 
 
 class MPIRankRuntime(BaseRuntime):
@@ -167,47 +227,41 @@ class MPIRankRuntime(BaseRuntime):
         dest = self._validate_rank(dest, "destination rank")
         size = nbytes(value) * ctx.work_scale
         travel = w._units(w.machine.net.point_to_point(int(size), self.rank, dest))
-        with w.cond:
-            w.check_abort()
-            now = self._clock(ctx)
-            # sender pays an injection overhead; message lands after travel
-            ctx.extra_units += 0.3 * travel
-            if ctx.prof is not None:
-                ctx.prof.add_extra("message", 0.3 * travel)
-                ctx.prof.count("messages")
-                ctx.prof.count("message_bytes", float(size))
-            msg = (deep_copy_value(value), now + travel)
-            q = w.queues[(self.rank, dest, tag)]
-            if inject.ACTIVE is not None:
-                rule = inject.ACTIVE.fire(
-                    "runtime.mpi.msg", f"{self.rank}->{dest}#t{tag}")
-                if rule is not None:
-                    if rule.action == "drop":
-                        # lost on the wire: the receiver blocks until the
-                        # deadlock detector or host watchdog intervenes
-                        w.cond.notify_all()
-                        return
-                    if rule.action == "dup":
-                        q.append(msg)
-                        q.append((deep_copy_value(value), now + travel))
-                        w.cond.notify_all()
-                        return
-                    if rule.action == "reorder":
-                        # delivered ahead of earlier traffic on this channel
-                        q.appendleft(msg)
-                        w.cond.notify_all()
-                        return
-            q.append(msg)
-            w.cond.notify_all()
+        w.check_abort()
+        now = self._clock(ctx)
+        # sender pays an injection overhead; message lands after travel
+        ctx.extra_units += 0.3 * travel
+        if ctx.prof is not None:
+            ctx.prof.add_extra("message", 0.3 * travel)
+            ctx.prof.count("messages")
+            ctx.prof.count("message_bytes", float(size))
+        msg = (deep_copy_value(value), now + travel)
+        q = w.queues[(self.rank, dest, tag)]
+        if inject.ACTIVE is not None:
+            rule = inject.ACTIVE.fire(
+                "runtime.mpi.msg", f"{self.rank}->{dest}#t{tag}")
+            if rule is not None:
+                if rule.action == "drop":
+                    # lost on the wire: the receiver blocks until the
+                    # deadlock detector or host watchdog intervenes
+                    return
+                if rule.action == "dup":
+                    q.append(msg)
+                    q.append((deep_copy_value(value), now + travel))
+                    return
+                if rule.action == "reorder":
+                    # delivered ahead of earlier traffic on this channel
+                    q.appendleft(msg)
+                    return
+        q.append(msg)
 
     def _recv(self, ctx: ExecCtx, src, tag):
         w = self.world
         src = self._validate_rank(src, "source rank")
         key = (src, self.rank, tag)
-        with w.cond:
-            q = w.queues[key]
-            w.wait_for(lambda: len(q) > 0)
-            value, arrival = q.popleft()
+        q = w.queues[key]
+        w.wait_for(lambda: len(q) > 0)
+        value, arrival = q.popleft()
         self._advance_to(ctx, arrival, "message")
         ctx.extra_units += w._units(w.machine.net.alpha) * 0.3
         if ctx.prof is not None:
@@ -246,30 +300,28 @@ class MPIRankRuntime(BaseRuntime):
         w = self.world
         seq = self.coll_seq
         self.coll_seq += 1
-        with w.cond:
-            w.check_abort()
-            c = w.collectives.get(seq)
-            if c is None:
-                c = w.collectives[seq] = _Collective(signature=signature)
-            elif c.signature != signature:
-                w.abort(MPIUsageError(
-                    f"mismatched collectives at call #{seq}: rank {self.rank} "
-                    f"called {signature}, another rank called {c.signature}"
-                ))
-                raise _Abort()
-            c.values[self.rank] = value
-            c.arrivals[self.rank] = self._clock(ctx)
-            if len(c.values) == w.nranks:
-                comm = w._units(w.machine.net.collective(
-                    kind, int(payload_bytes * ctx.work_scale), w.nranks
-                ))
-                c.completion = max(c.arrivals.values()) + comm
-                c.results = self._combine(kind, signature, c.values)
-                c.done = True
-                w.cond.notify_all()
-            else:
-                w.wait_for(lambda: c.done)
-            result = c.results.get(self.rank)
+        w.check_abort()
+        c = w.collectives.get(seq)
+        if c is None:
+            c = w.collectives[seq] = _Collective(signature=signature)
+        elif c.signature != signature:
+            w.abort(MPIUsageError(
+                f"mismatched collectives at call #{seq}: rank {self.rank} "
+                f"called {signature}, another rank called {c.signature}"
+            ))
+            raise _Abort()
+        c.values[self.rank] = value
+        c.arrivals[self.rank] = self._clock(ctx)
+        if len(c.values) == w.nranks:
+            comm = w._units(w.machine.net.collective(
+                kind, int(payload_bytes * ctx.work_scale), w.nranks
+            ))
+            c.completion = max(c.arrivals.values()) + comm
+            c.results = self._combine(kind, signature, c.values)
+            c.done = True
+        else:
+            w.wait_for(lambda: c.done)
+        result = c.results.get(self.rank)
         self._advance_to(ctx, c.completion, "collective")
         if ctx.prof is not None:
             ctx.prof.count("collectives")
@@ -476,6 +528,64 @@ class HybridRankRuntime(MPIRankRuntime, OpenMPRuntime):
         OpenMPRuntime.omp_atomic(self, env, ctx, update, scalar_key)
 
 
+class _RankThread:
+    """A parked OS thread that runs one rank of one job at a time.
+
+    ``baton`` is the rank's semaphore: a lock held while the thread has
+    no permit.  Releasing it starts the assigned ``job`` or resumes the
+    rank blocked in :meth:`CommWorld.wait_for`.  A job returns the
+    hand-off that passes the baton on, which the thread calls only once
+    it is back on the idle list, so a finished job never waits on a
+    thread that is still winding down.
+    """
+
+    __slots__ = ("baton", "job")
+
+    def __init__(self) -> None:
+        self.baton = threading.Lock()
+        self.baton.acquire()
+        self.job: Optional[Callable[[], Callable[[], None]]] = None
+        threading.Thread(target=self._serve, name="mpi-rank",
+                         daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.baton.acquire()
+            job, self.job = self.job, None
+            handoff = job()
+            # drop the finished job before parking: it holds the world,
+            # every rank's ExecCtx and every rank's copy of the inputs
+            job = None
+            with _idle_lock:
+                _idle.append(self)
+            handoff()
+
+
+#: parked rank threads free for a new job; grows on demand, never shrinks
+_idle: List[_RankThread] = []
+_idle_lock = threading.Lock()
+
+
+def _rank_threads(n: int) -> List[_RankThread]:
+    """Take ``n`` idle rank threads, starting new ones for any shortfall."""
+    with _idle_lock:
+        k = min(n, len(_idle))
+        taken = _idle[len(_idle) - k:]
+        del _idle[len(_idle) - k:]
+    taken.extend(_RankThread() for _ in range(n - k))
+    return taken
+
+
+def _forget_rank_threads() -> None:
+    """In a forked child: the parent's rank threads do not exist here."""
+    global _idle, _idle_lock
+    _idle = []
+    _idle_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_rank_threads)
+
+
 @dataclass
 class MPIRunResult:
     """Outcome of one MPI job."""
@@ -508,10 +618,12 @@ def run_mpi(
     is replicated on every rank); rank 0's copies are returned for
     correctness checking.
 
-    ``watchdog_timeout`` bounds the host-side join on each rank thread:
-    a rank that is wedged (stalled outside the communication layer, so
-    the deadlock detector cannot see it) aborts the whole job with a
-    ``RuntimeFailure`` once the timeout elapses.
+    ``watchdog_timeout`` bounds the host-side wait for the whole job: a
+    rank that is wedged (stalled outside the communication layer while
+    holding the baton, so the deadlock detector cannot see it) aborts
+    the job with a ``RuntimeFailure`` once the timeout elapses.  Its
+    thread, and the threads of the ranks parked behind it, return to the
+    idle list only once it unwinds.
     """
     world = CommWorld(nranks, machine, work_scale)
     rank_args: List[List[object]] = [
@@ -531,9 +643,8 @@ def run_mpi(
         ctxs.append(ctx)
 
     returns: List[object] = [None] * nranks
-    errors: List[Optional[BaseException]] = [None] * nranks
 
-    def rank_main(r: int) -> None:
+    def rank_main(r: int) -> Callable[[], None]:
         try:
             if inject.ACTIVE is not None:
                 rule = inject.ACTIVE.fire("runtime.mpi.stall", f"rank{r}")
@@ -541,40 +652,29 @@ def run_mpi(
                     # wedged outside the communication layer: invisible to
                     # the deadlock detector, only the watchdog can act
                     time.sleep(rule.param if rule.param > 0 else 2.0)
-                    with world.cond:
-                        world.check_abort()
+            # a rank first run after a failure only unwinds
+            world.check_abort()
             returns[r] = program.run_kernel(kernel, ctxs[r], rank_args[r])
         except _Abort:
-            errors[r] = None
+            pass
         except BaseException as exc:  # noqa: BLE001 - report any failure
-            errors[r] = exc
-            with world.cond:
-                world.abort(exc)
-        finally:
-            with world.cond:
-                world.finish_rank()
+            world.abort(exc)
+        return world.finish_rank()
 
     if nranks == 1:
         rank_main(0)
     else:
-        threads = [
-            threading.Thread(target=rank_main, args=(r,), daemon=True)
-            for r in range(nranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=watchdog_timeout)
-            if t.is_alive():
-                with world.cond:
-                    world.abort(RuntimeFailure("MPI job wedged (host watchdog)"))
+        threads = _rank_threads(nranks)
+        world.batons = [t.baton for t in threads]
+        for r, t in enumerate(threads):
+            t.job = partial(rank_main, r)
+        world.start()
+        if not world.finished.wait(watchdog_timeout):
+            world.abort(RuntimeFailure("MPI job wedged (host watchdog)"))
 
-    failure = world.failure
-    if failure is None:
-        failure = next((e for e in errors if e is not None), None)
-    if failure is not None:
+    if world.failure is not None:
         return MPIRunResult(ret=None, args=rank_args[0], sim_seconds=0.0,
-                            error=failure)
+                            error=world.failure)
     sim = max(
         (c.cost * c.work_scale + c.extra_units) * machine.cpu.cycle for c in ctxs
     )

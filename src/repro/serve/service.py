@@ -8,8 +8,9 @@
    HTTP layer turns that into ``429`` + ``Retry-After``), otherwise
    enqueue a :class:`RequestTicket`.
 2. **Batching** (:meth:`EvalService._batch_loop`): the loop takes the
-   oldest queued ticket, then keeps collecting until ``batch_window``
-   seconds pass or ``max_batch`` requests are in hand.
+   oldest queued ticket, then every ticket already queued behind it, up
+   to ``max_batch``.  It never waits for more: batches run one at a
+   time, so requests that arrive during a batch queue up for the next.
 3. **Execution** (:meth:`EvalService._run_batch`): expired-while-queued
    tickets are retired; the rest are planned and their task sets merged
    by content hash (:mod:`repro.serve.batcher`).  The merged set runs on
@@ -211,7 +212,6 @@ class EvalService:
                  shards: int = 2,
                  jobs_per_shard: int = 1,
                  max_queue: int = 64,
-                 batch_window: float = 0.05,
                  max_batch: int = 16,
                  sample_cache: bool = True,
                  task_timeout: Optional[float] = 120.0,
@@ -224,7 +224,6 @@ class EvalService:
         self.runner = runner if runner is not None else Runner()
         self.jobs = shards * jobs_per_shard
         self.max_queue = max_queue
-        self.batch_window = batch_window
         #: 1 runs every request as its own batch
         self.max_batch = max_batch
         self.cache_dir = (self.workdir / "cache") if sample_cache else None
@@ -348,16 +347,8 @@ class EvalService:
                 self._queue.put_nowait(first)
                 continue
             batch = [first]
-            deadline = time.monotonic() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining))
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             try:
                 await self._run_batch(batch)
             except Exception as exc:    # noqa: BLE001 - keep the loop alive

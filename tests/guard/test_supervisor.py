@@ -7,10 +7,14 @@ to the running scheduler (no atexit, no flushes), with orphaned pool
 workers left to notice the reparenting on their own.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.bench import PCGBench
-from repro.guard import crash_resume_sweep, run_supervised
+from repro.guard import crash_resume_sweep, run_supervised, supervisor
 from repro.models import load_model
 
 #: the smallest slice that still exercises the pool: one problem type,
@@ -63,3 +67,44 @@ class TestEveryBoundary:
         # each armed boundary is before the run's end, so each kill
         # landed and forced at least one restart
         assert sweep["restarts"] >= sweep["checked"]
+
+
+def _child_with_grandchild(pidfile):
+    """A stand-in child that forks a grandchild holding the result pipe's
+    write end open, as a scheduler's pool workers do, then dies by
+    SIGKILL when armed and reports success otherwise."""
+
+    def child_main(conn, kill_at, plan, journal_path, run_kwargs):
+        pid = os.fork()
+        if pid == 0:
+            time.sleep(30)
+            os._exit(0)
+        with open(pidfile, "a") as f:
+            f.write(f"{pid}\n")
+        if kill_at is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        conn.send({"ok": True, "digest": "0" * 64, "json": "{}",
+                   "events": 0})
+        conn.close()
+
+    return child_main
+
+
+class TestInheritedPipe:
+    def test_killed_child_is_noticed_while_a_grandchild_holds_the_pipe(
+            self, tmp_path, monkeypatch):
+        pidfile = tmp_path / "grandchildren"
+        monkeypatch.setattr(supervisor, "_child_main",
+                            _child_with_grandchild(pidfile))
+        t0 = time.monotonic()
+        try:
+            result = run_supervised(None, None, workdir=tmp_path, kill_at=0)
+        finally:
+            for line in pidfile.read_text().split():
+                try:
+                    os.kill(int(line), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert result.restarts == 1
+        assert time.monotonic() - t0 < 10, \
+            "the supervisor waited for the grandchild to close the pipe"

@@ -1,9 +1,16 @@
 """Tests for the MPI and hybrid runtimes."""
 
+import multiprocessing as mp
+import threading
+import time
+
 import pytest
 
-from repro.lang.errors import DeadlockError, FuelExhausted, MPIUsageError
+from repro.faults import FaultPlan, FaultRule, injector
+from repro.lang.errors import (DeadlockError, FuelExhausted, MPIUsageError,
+                               RuntimeFailure)
 from repro.runtime import DEFAULT_MACHINE, Array, run_mpi
+from repro.runtime import mpi as mpi_mod
 
 from .helpers import compiled, farr, iarr
 
@@ -378,3 +385,131 @@ class TestMPITimeAndFailures:
     def test_single_rank_runs_inline(self):
         res = mpi_run(BLOCK_SUM, "f", [farr(range(64))], 1)
         assert res.ret == sum(range(64))
+
+
+CYCLIC_RECV = """
+kernel f(x: array<float>) -> float {
+    return mpi_recv_float((mpi_rank() + 1) % mpi_size(), 0);
+}
+"""
+
+RECV_FROM_FINISHED = """
+kernel f(x: array<float>) -> float {
+    if (mpi_rank() == 0) {
+        return mpi_recv_float(1, 0);
+    }
+    return 0.0;
+}
+"""
+
+
+REDUCE2 = """
+kernel f(x: array<float>) -> float {
+    let local = x[mpi_rank()];
+    return mpi_reduce_float(local, "sum", 0);
+}
+"""
+
+
+def _rank_threads():
+    return {t for t in threading.enumerate() if t.name == "mpi-rank"}
+
+
+def _bounded(fn, timeout=60.0):
+    """Run ``fn`` on a helper thread; fail instead of hanging the suite."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"MPI job still running after {timeout} s"
+    return out[0]
+
+
+class TestRankThreadReuse:
+    """Ranks run on parked threads that later jobs reuse."""
+
+    def test_repeated_512_rank_jobs_start_no_new_threads(self):
+        x = farr(range(1024))
+        first = mpi_run(BLOCK_SUM, "f", [x], 512)
+        assert first.ret == sum(range(1024))
+        threads = _rank_threads()
+        assert len(threads) >= 512
+        for _ in range(3):
+            res = mpi_run(BLOCK_SUM, "f", [x], 512)
+            assert res.error is None and res.ret == first.ret
+            assert res.sim_seconds == first.sim_seconds
+        assert _rank_threads() == threads
+
+    def test_deadlocks_then_normal_jobs_do_not_hang(self):
+        def jobs():
+            out = [mpi_run(CYCLIC_RECV, "f", [farr([1])], 4),
+                   mpi_run(RECV_FROM_FINISHED, "f", [farr([1])], 2)]
+            out += [mpi_run(BLOCK_SUM, "f", [farr(range(64))], p)
+                    for p in (4, 2, 8, 4)]
+            return out
+
+        cyclic, finished, *normal = _bounded(jobs)
+        assert isinstance(cyclic.error, DeadlockError)
+        assert str(cyclic.error) == (
+            "deadlock: all 4 live rank(s) blocked with no deliverable "
+            "messages")
+        assert isinstance(finished.error, DeadlockError)
+        assert str(finished.error) == (
+            "deadlock: remaining rank(s) blocked after peers finished")
+        assert all(r.error is None and r.ret == sum(range(64))
+                   for r in normal)
+        # every thread of the deadlocked jobs parked again: a second round
+        # needs no new ones
+        threads = _rank_threads()
+        _bounded(jobs)
+        assert _rank_threads() == threads
+
+    def test_forked_child_runs_mpi_on_its_own_threads(self):
+        ctx = mp.get_context("fork")
+        x = farr(range(256))
+        parent = mpi_run(BLOCK_SUM, "f", [x], 16)
+        assert parent.ret == sum(range(256))
+        assert mpi_mod._idle, "the parent should have parked rank threads"
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def child():
+            inherited = len(mpi_mod._idle)
+            res = mpi_run(BLOCK_SUM, "f", [x], 16)
+            writer.send((inherited, res.error is None, res.ret,
+                         res.sim_seconds))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        writer.close()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("MPI in a forked child hung")
+        assert proc.exitcode == 0
+        assert reader.poll(5)
+        inherited, ok, ret, sim = reader.recv()
+        assert inherited == 0
+        assert ok and ret == parent.ret and sim == parent.sim_seconds
+
+    def test_wedged_rank_thread_is_not_reused(self):
+        assert mpi_run(REDUCE2, "f", [farr([1, 2])], 2).ret == 3.0
+        idle = set(mpi_mod._idle)
+        rule = FaultRule(point="runtime.mpi.stall", action="stall",
+                         match="rank1", param=1.0)
+        with injector(FaultPlan(rules=(rule,))):
+            wedged = run_mpi(compiled(REDUCE2), "f", [farr([1, 2])], 2,
+                             DEFAULT_MACHINE, watchdog_timeout=0.1)
+        assert isinstance(wedged.error, RuntimeFailure)
+        held = idle - set(mpi_mod._idle)
+        assert len(held) == 2   # rank 1 sleeps; rank 0 is parked behind it
+        t0 = time.monotonic()
+        res = _bounded(lambda: mpi_run(REDUCE2, "f", [farr([1, 2])], 2))
+        assert res.error is None and res.ret == 3.0
+        assert time.monotonic() - t0 < 0.9, "waited for the wedged rank"
+        assert not held & set(mpi_mod._idle)
+        # once the stall ends both ranks unwind and their threads park
+        deadline = time.monotonic() + 30
+        while held - set(mpi_mod._idle) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert held <= set(mpi_mod._idle)

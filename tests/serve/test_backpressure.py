@@ -29,7 +29,7 @@ class TestOverload:
             return retry_after, runs
 
         (retry_after, runs), service = run_with_service(
-            tmp_path, go, max_queue=3, batch_window=0.2)
+            tmp_path, go, max_queue=3)
         assert 1 <= retry_after <= 60
         reference = direct_reference(make_request()).to_json()
         assert all(r.to_json() == reference for r in runs)
@@ -85,7 +85,7 @@ class TestShutdown:
     def test_drain_finishes_accepted_work(self, tmp_path):
         async def main():
             service = EvalService(tmp_path, shards=1, jobs_per_shard=2,
-                                  sample_cache=False, batch_window=0.2)
+                                  sample_cache=False)
             await service.start()
             client = ServiceClient(service)
             ids = [client.submit(make_request()) for _ in range(3)]

@@ -27,13 +27,13 @@ class TestCoalescing:
 
         async def go(service):
             client = ServiceClient(service)
-            # submit both before yielding so one batch window sees both
+            # submit both before yielding so one batch takes both
             id_a, id_b = client.submit(a), client.submit(b)
             return await asyncio.gather(client.result(id_a),
                                         client.result(id_b))
 
         (run_a, run_b), service = run_with_service(
-            tmp_path, go, batch_window=0.5)
+            tmp_path, go)
         snap = service.metrics_snapshot()
         assert snap["batches"] == 1, "requests were not coalesced"
         assert snap["batched_requests"] == 2
@@ -53,7 +53,7 @@ class TestCoalescing:
             ids = [client.submit(request) for _ in range(3)]
             return await asyncio.gather(*(client.result(i) for i in ids))
 
-        runs, service = run_with_service(tmp_path, go, batch_window=0.5)
+        runs, service = run_with_service(tmp_path, go)
         snap = service.metrics_snapshot()
         assert snap["batches"] == 1
         assert snap["tasks_planned"] == 3 * snap["tasks_unique"]

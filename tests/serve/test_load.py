@@ -30,8 +30,7 @@ class TestLoad:
                 *(one_client(i) for i in range(N_CLIENTS)))
 
         tickets, service = run_with_service(
-            tmp_path, go, max_queue=N_CLIENTS, max_batch=N_CLIENTS,
-            batch_window=0.1)
+            tmp_path, go, max_queue=N_CLIENTS, max_batch=N_CLIENTS)
         # zero dropped after accept: every admitted request reached DONE
         assert len(tickets) == N_CLIENTS
         assert all(t.status == DONE for t in tickets), \
@@ -67,7 +66,7 @@ class TestLoad:
             return tickets, rejected
 
         (tickets, rejected), service = run_with_service(
-            tmp_path, go, max_queue=8, max_batch=8, batch_window=0.1)
+            tmp_path, go, max_queue=8, max_batch=8)
         assert rejected == N_CLIENTS - 8
         assert len(tickets) == 8
         assert all(t.status == DONE for t in tickets)
