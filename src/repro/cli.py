@@ -29,9 +29,9 @@ Commands
 ``serve [--host H] [--port P] [--jobs N] [--queue N]``
     Run the evaluation service (``docs/serving.md``): JSON over HTTP,
     micro-batched requests deduplicated across clients by content hash,
-    each batch run on one worker pool with a resume journal, bounded-queue
-    admission control (429 + Retry-After on overload), and a
-    ``/metrics`` endpoint.  ``--smoke`` starts the server, drives one
+    every batch run on one long-lived worker pool with a resume journal,
+    bounded-queue admission control (429 + Retry-After on overload), and
+    a ``/metrics`` endpoint.  ``--smoke`` starts the server, drives one
     request through a live socket, checks the digest, and exits —
     the CI liveness check.
 ``chaos [--seed N] [--jobs N] [--invariant NAME] [--plan FILE]``
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8752)
     p.add_argument("--jobs", "-j", type=_positive_int, default=2,
-                   help="worker processes in the pool each batch runs on")
+                   help="worker processes in the pool every batch runs on")
     p.add_argument("--queue", type=_positive_int, default=64,
                    help="max in-flight requests before 429 rejections")
     p.add_argument("--max-batch", type=_positive_int, default=16,

@@ -25,7 +25,6 @@ Two persistence layers, both keyed by content-hash task ids from
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
@@ -247,18 +246,21 @@ class SampleCache:
     def put(self, task_id: str, payload: Dict[str, object]) -> bool:
         """Write one entry durably; returns False when the write failed.
 
-        The snapshot path is tmp-write → fsync(file) → rename →
-        fsync(dir): without the fsyncs a machine crash right after the
-        rename can leave a zero-length or torn file *at the final path*
-        (the rename can be journaled before the data blocks hit disk).
-        A failed write — e.g. an injected ``guard.disk.enospc`` — cleans
-        up the tmp file and degrades to a future cache miss; it never
-        corrupts an existing entry and never crashes the run (the cache
-        is an optimisation, not a correctness dependency)."""
-        path = self._path(task_id)
+        :meth:`encode` then :meth:`write`; the scheduler runs the two in
+        different threads (write-behind)."""
+        entry = self.encode(task_id, payload)
+        return entry is not None and self.write(*entry)
+
+    def encode(self, task_id: str, payload: Dict[str, object]
+               ) -> Optional[Tuple[Path, bytes]]:
+        """The ``(path, bytes)`` that :meth:`write` persists for one entry.
+
+        The cache's fault points fire here, never in :meth:`write`:
+        ``sched.cache.truncate`` and ``sched.cache.bitflip`` damage the
+        bytes, and an injected ``guard.disk.enospc`` returns None, a
+        write that failed before it began (a future cache miss)."""
         data = json.dumps({"sha256": self._digest(payload),
                            "payload": payload})
-        enospc = False
         if inject.ACTIVE is not None:
             rule = inject.ACTIVE.fire("sched.cache.truncate", task_id)
             if rule is not None:
@@ -268,20 +270,32 @@ class SampleCache:
                 pos = len(data) // 2
                 flipped = chr(ord(data[pos]) ^ 0x01)
                 data = data[:pos] + flipped + data[pos + 1:]
-            enospc = inject.ACTIVE.fire("guard.disk.enospc",
-                                        task_id) is not None
+            if inject.ACTIVE.fire("guard.disk.enospc", task_id) is not None:
+                return None
+        return self._path(task_id), data.encode("utf-8")
+
+    @classmethod
+    def write(cls, path: Path, data: bytes) -> bool:
+        """Persist one encoded entry; returns False when the write failed.
+
+        The snapshot path is tmp-write → fsync(file) → rename →
+        fsync(dir): without the fsyncs a machine crash right after the
+        rename can leave a zero-length or torn file *at the final path*
+        (the rename can be journaled before the data blocks hit disk).
+        A failed write (ENOSPC, EIO) cleans up the tmp file and degrades
+        to a future cache miss; it never corrupts an existing entry and
+        never crashes the run (the cache is an optimisation, not a
+        correctness dependency).  Pure file I/O: it takes no lock, so it
+        is safe on a thread that runs while the pool forks workers."""
         tmp = path.with_suffix(".tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            if enospc:
-                raise OSError(errno.ENOSPC,
-                              "No space left on device (injected)")
-            with tmp.open("w", encoding="utf-8") as fh:
+            with tmp.open("wb") as fh:
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)   # atomic: readers never see torn files
-            self._fsync_dir(path.parent)
+            cls._fsync_dir(path.parent)
         except OSError:
             try:
                 tmp.unlink()

@@ -14,7 +14,9 @@ Fault model (the part a naive ``multiprocessing.Pool`` gets wrong):
   starve the queue tail;
 * a worker that **dies** (segfault, ``os._exit``, OOM-kill) is detected
   by liveness polling; its in-flight task is requeued and a replacement
-  worker is spawned — the run never dies with it;
+  worker is spawned — the run never dies with it, even when the worker
+  died idle (idle workers wait for work without holding the task
+  queue's lock, :func:`_next_task`);
 * a task that **hangs** past ``task_timeout`` gets its worker terminated
   and is treated like a crash;
 * a task that kills ``poison_threshold`` *distinct* workers is **poison**
@@ -28,6 +30,17 @@ Results are reported through ``on_result`` *before* the corresponding
 :class:`TaskFinished` event is emitted, so a sink that aborts the run
 (:class:`SchedulerAbort`) is guaranteed the journal already holds every
 task it was told about.
+
+Lifetime: :meth:`WorkerPool.run` on a pool that was never started forks
+its workers, runs, and stops them again (one-shot).  After
+:meth:`WorkerPool.start` the workers outlive each ``run()`` call until
+:meth:`WorkerPool.close`, so a caller that runs many task sets (the
+service, one per batch) forks and initialises them once.  Retries,
+deadlines, quarantine and the crash budget are per run; if a worker
+died between runs, the next run starts on fresh workers and queues; any
+exception out of ``run()`` closes the workers, so the next ``run()``
+starts on fresh ones.  Messages about a task the current run did not
+dispatch (a late copy from an earlier run) are dropped.
 
 Workers poll their parent pid while idle: if the whole scheduler process
 is SIGKILLed (``repro.guard.supervisor``), the orphaned workers notice
@@ -96,6 +109,21 @@ def _poll_result(result_q, timeout: float):
         return None
 
 
+def _next_task(task_q, timeout: float):
+    """Wait up to ``timeout`` for the next task; raises ``queue.Empty``.
+
+    ``Queue.get(timeout=...)`` waits while holding the queue's read lock,
+    so a worker killed while idle (an OOM kill, a stray SIGKILL) would
+    leave that lock held and every other worker blocked for good.  Wait
+    on the pipe without the lock, and take the lock only to read."""
+    reader = getattr(task_q, "_reader", None)
+    if reader is None:                  # pragma: no cover - fallback path
+        return task_q.get(timeout=timeout)
+    if not reader.poll(timeout):
+        raise stdlib_queue.Empty
+    return task_q.get_nowait()         # Empty if another worker won
+
+
 def _worker_main(worker_id: int, init_fn: Optional[Callable],
                  init_args: tuple, work_fn: Callable,
                  task_q: "mp.Queue", result_q: "mp.Queue") -> None:
@@ -115,7 +143,7 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
         return
     while True:
         try:
-            item = task_q.get(timeout=_ORPHAN_POLL)
+            item = _next_task(task_q, _ORPHAN_POLL)
         except stdlib_queue.Empty:
             if os.getppid() != parent_pid:
                 os._exit(0)         # orphaned: the scheduler was killed
@@ -183,18 +211,76 @@ class WorkerPool:
         #: (the ledger still short-circuits its remaining retries)
         self.quarantine = quarantine
         self._ctx = _pool_context()
+        # set by start(), cleared by close()
+        self._task_q = None
+        self._result_q = None
+        self._procs: Dict[int, mp.process.BaseProcess] = {}
+        self._next_wid = 0
 
-    # -- lifecycle helpers ---------------------------------------------------
+    # -- lifetime ------------------------------------------------------------
 
-    def _spawn(self, worker_id: int, task_q, result_q):
+    @property
+    def started(self) -> bool:
+        return self._task_q is not None
+
+    def start(self) -> "WorkerPool":
+        """Fork the workers and keep them across :meth:`run` calls until
+        :meth:`close`.
+
+        On a started pool with a dead worker this starts over on fresh
+        workers and queues: a worker killed just after it sent a result
+        can die holding the result queue's write lock, and then no other
+        worker could ever report again."""
+        if any(not proc.is_alive() for proc in self._procs.values()):
+            for proc in self._procs.values():
+                proc.terminate()
+            self.close()
+        if self._task_q is None:
+            self._task_q = self._ctx.Queue(maxsize=self.queue_bound + 1)
+            self._result_q = self._ctx.SimpleQueue()
+        while len(self._procs) < self.jobs:
+            self._spawn()
+        return self
+
+    def close(self) -> None:
+        """Stop every worker; a later :meth:`start` forks fresh ones."""
+        if self._task_q is None:
+            return
+        procs, task_q, result_q = self._procs, self._task_q, self._result_q
+        self._procs = {}
+        self._task_q = self._result_q = None
+        # drain the task queue so sentinels are the next thing workers see
+        _discard_queued(task_q)
+        for _ in procs:
+            try:
+                task_q.put_nowait(None)
+            except stdlib_queue.Full:
+                break
+        deadline = time.monotonic() + 5.0
+        for proc in procs.values():
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in procs.values():
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
+        task_q.cancel_join_thread()
+        task_q.close()
+        if hasattr(result_q, "close"):
+            result_q.close()
+
+    def _spawn(self) -> int:
+        """Fork one worker under the next id; returns the id."""
+        wid = self._next_wid
+        self._next_wid += 1
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.init_fn, self.init_args, self.work_fn,
-                  task_q, result_q),
+            args=(wid, self.init_fn, self.init_args, self.work_fn,
+                  self._task_q, self._result_q),
             daemon=True,
         )
         proc.start()
-        return proc
+        self._procs[wid] = proc
+        return wid
 
     # -- the run loop --------------------------------------------------------
 
@@ -203,6 +289,7 @@ class WorkerPool:
             progress_total: Optional[int] = None,
             predictions: Optional[Dict[str, Tuple[float, str]]] = None,
             on_drain: Optional[Callable[[], None]] = None,
+            emit: Optional[EmitFn] = None,
             ) -> Tuple[Dict[str, dict], Dict[str, str]]:
         """Execute ``tasks``; returns ``(results, failures)``.
 
@@ -219,36 +306,56 @@ class WorkerPool:
         ``(value, provenance)``) decorate ``TaskFinished`` events so
         predicted-vs-actual error is observable.  ``on_drain`` fires
         once per drain cycle — when the result channel goes momentarily
-        quiet — and is the journal's group-commit hook.
+        quiet — and is the journal's group-commit hook.  ``emit``
+        replaces the pool's event sink for this run.
+
+        A pool that was not started runs one-shot: it forks its workers
+        here and stops them before returning.  Any exception out of the
+        run loop closes the workers before it propagates.
         """
         payloads: Dict[str, dict] = dict(tasks)
+        if not payloads:
+            return {}, {}
+        owned = not self.started
+        self.start()
+        try:
+            out = self._run(payloads, on_result, progress_total,
+                            predictions or {}, on_drain,
+                            emit or self.emit)
+        except BaseException:
+            self.close()
+            raise
+        if owned:
+            self.close()
+        else:
+            _discard_queued(self._task_q)   # leftovers of this run
+        return out
+
+    def _run(self, payloads: Dict[str, dict],
+             on_result: Optional[Callable[[str, dict], None]],
+             progress_total: Optional[int],
+             preds: Dict[str, Tuple[float, str]],
+             on_drain: Optional[Callable[[], None]],
+             emit: EmitFn) -> Tuple[Dict[str, dict], Dict[str, str]]:
         total = len(payloads)
         if progress_total is None:
             progress_total = total
         progress_base = progress_total - total
         results: Dict[str, dict] = {}
         failures: Dict[str, str] = {}
-        if total == 0:
-            return results, failures
 
-        task_q = self._ctx.Queue(maxsize=self.queue_bound + 1)
-        result_q = self._ctx.SimpleQueue()
+        task_q, result_q, procs = self._task_q, self._result_q, self._procs
         pending = deque(payloads)         # fresh work, dispatch order
         retries: deque = deque()          # requeues: strictly behind fresh
         outstanding: set = set()          # dispatched, not yet finished
-        #: worker → (task, deadline)
+        #: worker → (task, deadline); the task may be a late copy from an
+        #: earlier run, which still holds its worker until it finishes
         running: Dict[int, Tuple[str, float]] = {}
         attempts: Dict[str, int] = {tid: 0 for tid in payloads}  # dispatches
         fails: Dict[str, int] = {tid: 0 for tid in payloads}
-        preds = predictions or {}
         ledger = HealthLedger(self.guard.poison_threshold)
-        procs: Dict[int, mp.process.BaseProcess] = {}
         crashes = 0
         last_message = time.monotonic()
-
-        for wid in range(self.jobs):
-            procs[wid] = self._spawn(wid, task_q, result_q)
-        next_wid = self.jobs
 
         def finished() -> int:
             return len(results) + len(failures)
@@ -281,7 +388,7 @@ class WorkerPool:
         def record_failure(tid: str, detail: str) -> None:
             failures[tid] = detail
             outstanding.discard(tid)
-            self.emit(TaskFinished(
+            emit(TaskFinished(
                 task_id=tid, kind=payloads[tid].get("kind", ""),
                 source=SOURCE_FAILED, status="system_error", worker=-1,
                 duration=0.0, attempts=attempts[tid]))
@@ -297,7 +404,7 @@ class WorkerPool:
             outstanding.discard(tid)
             if on_result is not None:
                 on_result(tid, payload)
-            self.emit(TaskFinished(
+            emit(TaskFinished(
                 task_id=tid, kind=payloads[tid].get("kind", ""),
                 source=SOURCE_QUARANTINED,
                 status=str((payload or {}).get("status", "")), worker=-1,
@@ -316,12 +423,13 @@ class WorkerPool:
 
         def on_worker_death(wid: int, detail: str,
                             kind: str = "crash") -> None:
-            nonlocal crashes, next_wid
+            nonlocal crashes
             crashes += 1
             entry = running.pop(wid, None)
-            tid = entry[0] if entry is not None else None
-            self.emit(WorkerCrashed(worker=wid, task_id=tid, detail=detail,
-                                    kind=kind))
+            tid = entry[0] if entry is not None and entry[0] in payloads \
+                else None
+            emit(WorkerCrashed(worker=wid, task_id=tid, detail=detail,
+                               kind=kind))
             procs.pop(wid, None)
             if tid is not None and not settled(tid):
                 verdict = ledger.record_death(tid, wid, kind, detail)
@@ -330,142 +438,124 @@ class WorkerPool:
                 else:
                     copy_failed(tid, detail)
             if crashes <= self.max_crashes and finished() < total:
-                procs[next_wid] = self._spawn(next_wid, task_q, result_q)
-                self.emit(WorkerReplaced(old_worker=wid,
-                                         new_worker=next_wid))
-                next_wid += 1
+                emit(WorkerReplaced(old_worker=wid,
+                                    new_worker=self._spawn()))
 
         def snapshot() -> None:
-            self.emit(ProgressSnapshot(
+            emit(ProgressSnapshot(
                 done=finished() + progress_base,
                 total=progress_total,
                 queue_depth=len(outstanding), busy_workers=len(running),
                 workers=len(procs)))
 
-        try:
-            while True:
-                fill_queue()
-                if finished() >= total:
-                    break
-                message = _poll_result(result_q, _POLL)
-                now = time.monotonic()
-                if message is not None:
-                    last_message = now
-                    kind, wid, tid, body, duration = message
-                    if kind == "start":
-                        deadline = now + (self.task_timeout or float("inf"))
-                        running[wid] = (tid, deadline)
-                        self.emit(TaskStarted(
+        while True:
+            fill_queue()
+            if finished() >= total:
+                break
+            message = _poll_result(result_q, _POLL)
+            now = time.monotonic()
+            if message is not None:
+                last_message = now
+                kind, wid, tid, body, duration = message
+                if kind == "init_error":
+                    # a worker that cannot even initialise is a
+                    # configuration problem, not a task fault
+                    raise RuntimeError(
+                        f"scheduler worker failed to initialise: {body}")
+                if kind == "start":
+                    deadline = now + (self.task_timeout or float("inf"))
+                    running[wid] = (tid, deadline)
+                    if tid in payloads:
+                        emit(TaskStarted(
                             task_id=tid,
                             kind=payloads[tid].get("kind", ""), worker=wid))
-                    elif kind == "done":
-                        running.pop(wid, None)
-                        if settled(tid):
-                            continue    # late copy of a swept orphan
-                        if inject.ACTIVE is not None and inject.ACTIVE.fire(
-                                "sched.result.corrupt", tid) is not None:
-                            body = {"__corrupted__": True}
-                        if self.validate is not None \
-                                and not self.validate(payloads[tid], body):
-                            copy_failed(
-                                tid, "result payload failed validation "
-                                     "(corrupted on the result channel)")
-                            snapshot()
-                            continue
-                        outstanding.discard(tid)
-                        results[tid] = body
-                        if on_result is not None:
-                            on_result(tid, body)
-                        predicted, pred_source = preds.get(tid, (0.0, ""))
-                        self.emit(TaskFinished(
-                            task_id=tid,
-                            kind=payloads[tid].get("kind", ""),
-                            source=SOURCE_EXECUTED,
-                            status=str((body or {}).get("status", "")),
-                            worker=wid, duration=duration,
-                            attempts=attempts[tid],
-                            diagnostics=len(
-                                (body or {}).get("diagnostics") or ()),
-                            counters=payload_counters(body),
-                            predicted=predicted,
-                            predicted_source=pred_source))
-                        snapshot()
-                    elif kind == "fail":
-                        running.pop(wid, None)
-                        if not settled(tid):
-                            copy_failed(tid, body)
-                            snapshot()
-                    elif kind == "init_error":
-                        # a worker that cannot even initialise is a
-                        # configuration problem, not a task fault
-                        raise RuntimeError(
-                            f"scheduler worker failed to initialise: {body}")
                     continue
+                if kind not in ("done", "fail"):
+                    continue
+                running.pop(wid, None)
+                if tid not in payloads or settled(tid):
+                    continue    # an earlier run's task, or a swept orphan
+                if kind == "fail":
+                    copy_failed(tid, body)
+                    snapshot()
+                    continue
+                if inject.ACTIVE is not None and inject.ACTIVE.fire(
+                        "sched.result.corrupt", tid) is not None:
+                    body = {"__corrupted__": True}
+                if self.validate is not None \
+                        and not self.validate(payloads[tid], body):
+                    copy_failed(
+                        tid, "result payload failed validation "
+                             "(corrupted on the result channel)")
+                    snapshot()
+                    continue
+                outstanding.discard(tid)
+                results[tid] = body
+                if on_result is not None:
+                    on_result(tid, body)
+                predicted, pred_source = preds.get(tid, (0.0, ""))
+                emit(TaskFinished(
+                    task_id=tid,
+                    kind=payloads[tid].get("kind", ""),
+                    source=SOURCE_EXECUTED,
+                    status=str((body or {}).get("status", "")),
+                    worker=wid, duration=duration,
+                    attempts=attempts[tid],
+                    diagnostics=len(
+                        (body or {}).get("diagnostics") or ()),
+                    counters=payload_counters(body),
+                    predicted=predicted,
+                    predicted_source=pred_source))
+                snapshot()
+                continue
 
-                # silence: the drain cycle ended — group-commit whatever
-                # the result burst journaled, then check worker liveness
-                # and task deadlines
-                if on_drain is not None:
-                    on_drain()
-                for wid in list(procs):
-                    proc = procs[wid]
-                    if not proc.is_alive():
-                        on_worker_death(
-                            wid, f"worker exited with code {proc.exitcode}")
-                for wid, (tid, deadline) in list(running.items()):
-                    if now > deadline:
-                        proc = procs.get(wid)
-                        if proc is not None:
-                            proc.terminate()
-                            proc.join(timeout=5.0)
-                        on_worker_death(
-                            wid, f"task exceeded {self.task_timeout:.0f}s "
-                                 "wall-clock timeout (infrastructure, "
-                                 "unlike a fuel-budget sample timeout)",
-                            kind="timeout")
-                if crashes > self.max_crashes:
-                    for tid in list(outstanding) + list(pending) \
-                            + list(retries):
-                        if not settled(tid):
-                            record_failure(
-                                tid, "worker crash budget exhausted")
-                    pending.clear()
-                    retries.clear()
-                    break
-                # orphan sweep: tasks dispatched to a worker that died
-                # between dequeue and its "start" message
-                if (outstanding and not running
-                        and now - last_message > _STALL_SWEEP
-                        and task_q.empty()):
-                    for tid in list(outstanding):
-                        outstanding.discard(tid)
-                        if not settled(tid):
-                            retries.append(tid)
-                    last_message = now
-        finally:
-            self._shutdown(procs, task_q, result_q)
+            # silence: the drain cycle ended — group-commit whatever
+            # the result burst journaled, then check worker liveness
+            # and task deadlines
+            if on_drain is not None:
+                on_drain()
+            for wid in list(procs):
+                proc = procs[wid]
+                if not proc.is_alive():
+                    on_worker_death(
+                        wid, f"worker exited with code {proc.exitcode}")
+            for wid, (tid, deadline) in list(running.items()):
+                if now > deadline:
+                    proc = procs.get(wid)
+                    if proc is not None:
+                        proc.terminate()
+                        proc.join(timeout=5.0)
+                    on_worker_death(
+                        wid, f"task exceeded {self.task_timeout:.0f}s "
+                             "wall-clock timeout (infrastructure, "
+                             "unlike a fuel-budget sample timeout)",
+                        kind="timeout")
+            if crashes > self.max_crashes:
+                for tid in list(outstanding) + list(pending) \
+                        + list(retries):
+                    if not settled(tid):
+                        record_failure(
+                            tid, "worker crash budget exhausted")
+                pending.clear()
+                retries.clear()
+                break
+            # orphan sweep: tasks dispatched to a worker that died
+            # between dequeue and its "start" message
+            if (outstanding and not running
+                    and now - last_message > _STALL_SWEEP
+                    and task_q.empty()):
+                for tid in list(outstanding):
+                    outstanding.discard(tid)
+                    if not settled(tid):
+                        retries.append(tid)
+                last_message = now
         return results, failures
 
-    def _shutdown(self, procs, task_q, result_q) -> None:
-        # drain the task queue so sentinels are the next thing workers see
-        try:
-            while True:
-                task_q.get_nowait()
-        except (stdlib_queue.Empty, OSError):
-            pass
-        for _ in procs:
-            try:
-                task_q.put_nowait(None)
-            except stdlib_queue.Full:
-                break
-        deadline = time.monotonic() + 5.0
-        for proc in procs.values():
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        task_q.cancel_join_thread()
-        task_q.close()
-        if hasattr(result_q, "close"):
-            result_q.close()
+
+def _discard_queued(task_q) -> None:
+    """Drop every task still queued (not yet taken by a worker)."""
+    try:
+        while True:
+            task_q.get_nowait()
+    except (stdlib_queue.Empty, OSError):
+        pass

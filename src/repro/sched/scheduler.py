@@ -2,8 +2,10 @@
 → deterministic assembly.
 
 :func:`execute_tasks` is the one task-set executor: cache hits, then a
-worker pool with journal-then-notify persistence.  ``run_scheduled``
-and the service (:mod:`repro.serve.service`) both drive it.
+worker pool with journal-then-notify persistence and a write-behind
+sample cache.  ``run_scheduled`` drives it on a one-shot pool; the
+service (:mod:`repro.serve.service`) on one pool that serves every
+batch.
 
 ``run_scheduled`` runs the same plan as the in-process ``jobs=1`` path
 of :func:`repro.harness.evaluate.evaluate_model`, on a worker pool with
@@ -15,6 +17,8 @@ can leak into the output.
 
 from __future__ import annotations
 
+import queue
+import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -81,27 +85,68 @@ def replay_journal(journal: Journal, run_key: str,
             diagnostics=len(payload.get("diagnostics") or ())))
 
 
+def harness_pool(runner: Runner, jobs: int,
+                 task_timeout: Optional[float] = 300.0,
+                 max_retries: int = 2) -> WorkerPool:
+    """A pool of ``jobs`` harness workers, not yet started: run it once,
+    or :meth:`~repro.sched.pool.WorkerPool.start` it to serve many task
+    sets on the same workers."""
+    return WorkerPool(
+        jobs=jobs, work_fn=execute_task, init_fn=init_harness,
+        init_args=(runner,), task_timeout=task_timeout,
+        max_retries=max_retries, validate=valid_result,
+        quarantine=quarantine_payload)
+
+
+class _CacheWriter:
+    """Write-behind for a :class:`SampleCache`.
+
+    The result loop encodes each entry (the cache's fault points fire
+    there, on the thread that also forks replacement workers) and one
+    thread writes it: plain file I/O under no lock, so a worker forked
+    mid-write inherits nothing held.  :meth:`close` returns once every
+    queued entry is on disk."""
+
+    def __init__(self, cache: SampleCache):
+        self.cache = cache
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._drain, name="repro-cache-writer", daemon=True)
+        self._thread.start()
+
+    def put(self, task_id: str, payload: dict) -> None:
+        entry = self.cache.encode(task_id, payload)
+        if entry is not None:
+            self._queue.put(entry)
+
+    def _drain(self) -> None:
+        for entry in iter(self._queue.get, None):
+            SampleCache.write(*entry)
+
+    def close(self) -> None:
+        self._queue.put(None)
+        self._thread.join()
+
+
 def execute_tasks(tasks: Dict[str, TaskSpec], results: Dict[str, dict],
-                  runner: Runner, ptypes: Tuple[str, ...],
-                  models: Tuple[str, ...], sink: EmitFn,
-                  jobs: int = 1,
+                  pool: WorkerPool, sink: EmitFn,
                   journal: Optional[Journal] = None,
                   cache: Optional[SampleCache] = None,
                   dispatch: str = DISPATCH_LPT,
                   predictions: Optional[Dict[str, Tuple[float, str]]] = None,
-                  task_timeout: Optional[float] = 300.0,
-                  max_retries: int = 2,
                   progress_total: Optional[int] = None,
                   on_drain: Optional[Callable[[], None]] = None
                   ) -> Dict[str, str]:
     """Settle every task in ``tasks`` that ``results`` does not hold yet.
 
-    Sample-cache hits settle first; the rest run on one
-    :class:`~repro.sched.pool.WorkerPool` in ``dispatch`` order.  Each
-    settled payload lands in ``results`` (updated in place) and, unless
-    its status is transient, in ``journal`` and ``cache`` before its
-    event reaches ``sink`` (journal-then-notify).  The journal is
-    group-committed once per drain cycle, then ``on_drain`` runs.
+    Sample-cache hits settle first; the rest run on ``pool`` (see
+    :func:`harness_pool`) in ``dispatch`` order.  Each settled payload
+    lands in ``results`` (updated in place) and, unless its status is
+    transient, in ``journal`` before its event reaches ``sink``
+    (journal-then-notify).  Cache entries are written behind the result
+    loop by one thread; every entry is on disk when this returns.  The
+    journal is group-committed once per drain cycle, then ``on_drain``
+    runs.
 
     Returns the pool's failures: task id -> last error, for tasks that
     exhausted their retry budget.  If the pool loop itself dies, the
@@ -127,14 +172,15 @@ def execute_tasks(tasks: Dict[str, TaskSpec], results: Dict[str, dict],
         return {}
     # throughput-only reordering: assemble() rebuilds in plan order
     remaining = order_tasks(remaining, dispatch, predictions)
+    writer = _CacheWriter(cache) if cache is not None else None
 
     def on_result(task_id: str, payload: dict) -> None:
         if str(payload.get("status", "")) in TRANSIENT_STATUSES:
             return                      # never persist infra failures
         if journal is not None:
             journal.append(task_id, payload)
-        if cache is not None:
-            cache.put(task_id, payload)
+        if writer is not None:
+            writer.put(task_id, payload)
 
     def drained() -> None:
         # one fsync per drain cycle instead of one per record
@@ -143,15 +189,14 @@ def execute_tasks(tasks: Dict[str, TaskSpec], results: Dict[str, dict],
         if on_drain is not None:
             on_drain()
 
-    pool = WorkerPool(
-        jobs=jobs, work_fn=execute_task, init_fn=init_harness,
-        init_args=(runner, tuple(ptypes), tuple(models)),
-        task_timeout=task_timeout, max_retries=max_retries,
-        emit=sink, validate=valid_result, quarantine=quarantine_payload)
-    executed, failures = pool.run(
-        [(tid, tasks[tid].payload()) for tid in remaining],
-        on_result=on_result, progress_total=progress_total,
-        predictions=predictions, on_drain=drained)
+    try:
+        executed, failures = pool.run(
+            [(tid, tasks[tid].payload()) for tid in remaining],
+            on_result=on_result, progress_total=progress_total,
+            predictions=predictions, on_drain=drained, emit=sink)
+    finally:
+        if writer is not None:
+            writer.close()
     results.update(executed)
     return failures
 
@@ -231,12 +276,12 @@ def run_scheduled(
                 replay_journal(journal, run_key, plan.tasks, results, sink)
             journal.start(run_key, fresh=not resume)
         failures = execute_tasks(
-            plan.tasks, results, runner, plan.bench_ptypes,
-            plan.bench_models, sink, jobs=jobs, journal=journal,
+            plan.tasks, results,
+            harness_pool(runner, jobs, task_timeout, max_retries), sink,
+            journal=journal,
             cache=(SampleCache(sample_cache_dir)
                    if sample_cache_dir is not None else None),
             dispatch=dispatch, predictions=predictions,
-            task_timeout=task_timeout, max_retries=max_retries,
             progress_total=len(plan.tasks),
             on_drain=ledger.flush if ledger is not None else None)
         for task_id, detail in failures.items():

@@ -3,25 +3,25 @@
 ``execute_task`` is also the per-task step of the in-process
 ``evaluate_model(jobs=1)`` path, which builds the same context from the
 caller's bench.  Both functions are module-level so they can cross a
-process boundary by reference.  Each worker rebuilds its own :class:`PCGBench` view and looks
-prompts up by uid — prompt/problem objects carry numpy closures and never
-travel through the task queue; only strings do.
+process boundary by reference.  Each worker builds the full
+:class:`PCGBench` once and looks prompts up by uid — prompt/problem
+objects carry numpy closures and never travel through the task queue;
+only strings do.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
 from ..bench.registry import PCGBench
 from ..harness.runner import Runner, compile_cache_stats
 from .plan import KIND_BASELINE, KIND_SAMPLE
 
 
-def init_harness(runner: Runner, ptypes: Sequence[str],
-                 models: Sequence[str]):
-    """Per-worker init: rebuild the bench slice and index it."""
-    bench = PCGBench(problem_types=list(ptypes) or None,
-                     models=list(models) or None)
+def init_harness(runner: Runner):
+    """Per-worker init: build the full bench and index it, so one worker
+    serves any task set (a pool outlives the runs it serves)."""
+    bench = PCGBench()
     prompts = {p.uid: p for p in bench.prompts}
     problems = {p.name: p for p in bench.problems}
     return runner, prompts, problems

@@ -16,7 +16,7 @@ only routes them.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..bench.registry import PCGBench
 from ..harness.evaluate import effective_samples
@@ -36,21 +36,9 @@ def plan_request(request, runner: Runner) -> Plan:
                       request.seed, profile=request.profile)
 
 
-def plan_batch(requests: Sequence, runner: Runner
-               ) -> Tuple[List[Plan], Tuple[str, ...], Tuple[str, ...]]:
-    """Plans for every request plus the union bench slice.
-
-    Workers are initialised with the *union* of problem types and
-    execution models across the batch, so one pool can resolve every
-    prompt uid in the merged task set regardless of which request
-    contributed it.
-    """
-    plans = [plan_request(req, runner) for req in requests]
-    ptypes = tuple(dict.fromkeys(
-        pt for plan in plans for pt in plan.bench_ptypes))
-    models = tuple(dict.fromkeys(
-        m for plan in plans for m in plan.bench_models))
-    return plans, ptypes, models
+def plan_batch(requests: Sequence, runner: Runner) -> List[Plan]:
+    """Plans for every request of one batch, in request order."""
+    return [plan_request(req, runner) for req in requests]
 
 
 def union_tasks(plans: Sequence[Plan]) -> Dict[str, TaskSpec]:

@@ -143,6 +143,11 @@ class HttpServer:
                     500, {"error": f"{type(exc).__name__}: {exc}"})
             writer.write(payload)
             await writer.drain()
+            # end the response with a FIN now: a pool worker forked while
+            # this connection was open holds a copy of the socket, so
+            # close() alone would not reach the client until it exits
+            if writer.can_write_eof():
+                writer.write_eof()
         finally:
             writer.close()
             try:

@@ -13,12 +13,14 @@
    time, so requests that arrive during a batch queue up for the next.
 3. **Execution** (:meth:`EvalService._run_batch`): expired-while-queued
    tickets are retired; the rest are planned and their task sets merged
-   by content hash (:mod:`repro.serve.batcher`).  The merged set runs on
-   one worker pool in longest-predicted-first order, through the same
-   executor ``run_scheduled`` uses
+   by content hash (:mod:`repro.serve.batcher`).  The merged set runs in
+   longest-predicted-first order on the service's one worker pool,
+   through the same executor ``run_scheduled`` uses
    (:func:`repro.sched.scheduler.execute_tasks`), journaled to
-   ``workdir/batch.journal.jsonl``.  If the pool loop dies, the batch
-   replays that journal and re-executes only the remainder, up to
+   ``workdir/batch.journal.jsonl``.  The pool forks its workers at the
+   first batch and keeps them until :meth:`EvalService.shutdown`.  If
+   the pool loop dies, its workers stop; the batch replays that journal
+   and re-executes only the remainder on fresh workers, up to
    :data:`BATCH_RESTARTS` times.  All of this runs in an executor
    thread, so the event loop stays responsive for status polls.
 4. **Demultiplexing**: each ticket's :class:`~repro.harness.evaluate.EvalRun`
@@ -26,8 +28,8 @@
    served run is byte-identical to a direct ``evaluate_model`` call.
 
 Graceful shutdown (:meth:`EvalService.shutdown` with ``drain=True``)
-closes admission, finishes every accepted request, then stops; nothing
-accepted is ever dropped.
+closes admission, finishes every accepted request, then stops the
+workers; nothing accepted is ever dropped.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from ..sched.events import (
 from ..sched.journal import Journal, SampleCache
 from ..sched.plan import Plan, TaskSpec, assemble
 from ..sched.predict import DurationLedger, plan_keys, predict_plan
-from ..sched.scheduler import execute_tasks, replay_journal
+from ..sched.scheduler import execute_tasks, harness_pool, replay_journal
 from ..sched.worker import failure_payload
 from .batcher import batch_key, plan_batch, union_tasks
 from .metrics import ServiceMetrics
@@ -202,9 +204,10 @@ class RequestTicket:
 
 
 class EvalService:
-    """Async batched evaluation service over one worker pool per batch.
+    """Async batched evaluation service over one long-lived worker pool.
 
-    The pool has ``shards`` x ``jobs_per_shard`` worker processes."""
+    The pool has ``shards`` x ``jobs_per_shard`` worker processes, forked
+    at the first batch and stopped by :meth:`shutdown`."""
 
     def __init__(self,
                  workdir: Path,
@@ -227,8 +230,6 @@ class EvalService:
         #: 1 runs every request as its own batch
         self.max_batch = max_batch
         self.cache_dir = (self.workdir / "cache") if sample_cache else None
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
         #: durable wall-time history shared by every batch; feeds pool
         #: dispatch order and Retry-After
         self.ledger = DurationLedger(self.workdir / "durations.jsonl")
@@ -250,6 +251,10 @@ class EvalService:
         self._gate.set()
         self._loop_task: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: every batch runs on this pool; started by the first batch
+        self._pool = harness_pool(self.runner, self.jobs,
+                                  task_timeout=task_timeout,
+                                  max_retries=max_retries)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -284,6 +289,7 @@ class EvalService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        self._pool.close()
         self.ledger.close()
 
     def pause(self) -> None:
@@ -379,7 +385,7 @@ class EvalService:
     async def _execute(self, live: List[RequestTicket]) -> None:
         loop = asyncio.get_running_loop()
         t0 = time.monotonic()
-        plans, ptypes, models = await loop.run_in_executor(
+        plans = await loop.run_in_executor(
             self._executor, plan_batch,
             [t.request for t in live], self.runner)
         for ticket, plan in zip(live, plans):
@@ -393,8 +399,7 @@ class EvalService:
             task_keys.update(plan_keys(plan))
             predictions.update(predict_plan(plan, self.runner, self.ledger))
         results = await loop.run_in_executor(
-            self._executor, self._run_tasks, union, ptypes, models,
-            task_keys, predictions)
+            self._executor, self._run_tasks, union, task_keys, predictions)
         wall = time.monotonic() - t0
         self.metrics.record_batch(
             requests=len(live),
@@ -416,15 +421,15 @@ class EvalService:
             self._finish(ticket, DONE)
 
     def _run_tasks(self, union: Dict[str, TaskSpec],
-                   ptypes: Tuple[str, ...], models: Tuple[str, ...],
                    task_keys: Dict[str, str],
                    predictions: Dict[str, Tuple[float, str]]
                    ) -> Dict[str, dict]:
         """Settle one batch's merged task set; survives pool-loop deaths.
 
-        Attempt 0 starts a fresh batch journal.  Each restart replays it
-        and executes only the remainder, so a death costs at most the
-        tasks in flight.  Once the restarts are spent, the journal is
+        Attempt 0 starts a fresh batch journal.  A pool-loop death stops
+        the pool's workers; each restart replays the journal and
+        executes only the remainder on fresh ones, so a death costs at
+        most the tasks in flight.  Once the restarts are spent, the journal is
         salvaged and every task still unsettled becomes a failure
         payload.  Runs in the executor thread.
         """
@@ -450,13 +455,11 @@ class EvalService:
                     replay_journal(journal, key, union, results, sink)
                 journal.start(key, fresh=(attempt == 0))
                 try:
+                    self._pool.start()
                     failures = execute_tasks(
-                        union, results, self.runner, ptypes, models,
-                        chain(sink, _death_probe), jobs=self.jobs,
-                        journal=journal, cache=cache,
-                        predictions=predictions,
-                        task_timeout=self.task_timeout,
-                        max_retries=self.max_retries)
+                        union, results, self._pool,
+                        chain(sink, _death_probe), journal=journal,
+                        cache=cache, predictions=predictions)
                     break
                 except Exception as exc:    # noqa: BLE001 - pool-loop death
                     error = f"{type(exc).__name__}: {exc}"

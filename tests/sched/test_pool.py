@@ -1,7 +1,9 @@
 """Fault-isolation tests for the worker pool, using synthetic tasks that
 succeed, raise, crash the worker process, or hang."""
 
+import multiprocessing as mp
 import os
+import signal
 import time
 from pathlib import Path
 
@@ -20,6 +22,12 @@ def _work(ctx, payload):
     action = payload["action"]
     if action == "ok":
         return {"v": payload["v"] * 2}
+    if action == "pid":
+        return {"pid": os.getpid()}
+    if action == "mark_then_sleep":
+        Path(payload["marker"]).write_text(str(os.getpid()))
+        time.sleep(payload["s"])
+        return {"v": "slept"}
     if action == "raise":
         raise RuntimeError("boom")
     if action == "crash_once":
@@ -97,6 +105,37 @@ class TestFaults:
         assert tel.crashes >= 1
         assert any(isinstance(e, WorkerCrashed) for e in tel.events)
         assert any(isinstance(e, WorkerReplaced) for e in tel.events)
+
+    def test_worker_killed_while_idle_does_not_stall_the_run(self, tmp_path):
+        """An idle worker killed from outside must not take the task
+        queue down with it: with one task in flight, the other worker
+        idles; killing it must not keep the next task from running."""
+        import threading
+
+        marker = tmp_path / "busy.pid"
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",), queue_bound=1)
+        tasks = [("long", {"kind": "sample", "action": "mark_then_sleep",
+                           "marker": str(marker), "s": 1.5}),
+                 ("after", {"kind": "sample", "action": "ok", "v": 5})]
+        out = {}
+        runner = threading.Thread(
+            target=lambda: out.update(zip(("results", "failures"),
+                                          pool.run(tasks))),
+            daemon=True)
+        runner.start()
+        deadline = time.monotonic() + 10.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)                 # let the idle worker wait again
+        busy = int(marker.read_text())
+        idle = [p.pid for p in mp.active_children() if p.pid != busy]
+        assert len(idle) == 1
+        os.kill(idle[0], signal.SIGKILL)
+        runner.join(timeout=20.0)
+        assert not runner.is_alive(), "run stalled after an idle kill"
+        assert out["failures"] == {}
+        assert out["results"]["after"] == {"v": 10}
 
     def test_always_crashing_task_exhausts_budget(self):
         pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
@@ -220,3 +259,109 @@ class TestInjectedSchedFaults:
         results, failures = pool.run(_ok_tasks(2))
         assert results == {}
         assert all("validation" in d for d in failures.values())
+
+
+def _pid_tasks(n, tag):
+    return [(f"{tag}{i}", {"kind": "sample", "action": "pid"})
+            for i in range(n)]
+
+
+def _worker_pids(before):
+    return {p.pid for p in mp.active_children()} - before
+
+
+class TestLongLivedPool:
+    def test_runs_on_a_started_pool_reuse_the_workers(self):
+        before = {p.pid for p in mp.active_children()}
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",)).start()
+        try:
+            workers = _worker_pids(before)
+            assert len(workers) == 2
+            seen = set()
+            for run in range(3):
+                results, failures = pool.run(_pid_tasks(8, f"r{run}-"))
+                assert failures == {} and len(results) == 8
+                seen |= {body["pid"] for body in results.values()}
+                assert _worker_pids(before) == workers
+            assert seen <= workers
+        finally:
+            pool.close()
+
+    def test_worker_killed_between_runs_is_replaced(self):
+        before = {p.pid for p in mp.active_children()}
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",)).start()
+        try:
+            pool.run(_pid_tasks(4, "a"))
+            victim = min(_worker_pids(before))
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while victim in _worker_pids(before) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert victim not in _worker_pids(before)
+            results, failures = pool.run(_pid_tasks(6, "b"))
+            assert failures == {} and len(results) == 6
+            workers = _worker_pids(before)
+            assert len(workers) == 2 and victim not in workers
+        finally:
+            pool.close()
+
+    def test_messages_about_an_earlier_runs_task_are_ignored(self):
+        tel = Telemetry()
+        tel.keep_events = True
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",), emit=tel).start()
+        try:
+            pool.run(_ok_tasks(3))
+            # late messages from the first run, read by the second
+            pool._result_q.put(("start", 0, "ok1", None, 0.0))
+            pool._result_q.put(("done", 0, "ok1", {"v": -1}, 0.1))
+            pool._result_q.put(("fail", 1, "ok2", "stale boom", 0.1))
+            results, failures = pool.run(
+                [(f"new{i}", {"kind": "sample", "action": "ok", "v": i})
+                 for i in range(4)])
+        finally:
+            pool.close()
+        assert failures == {}
+        assert results == {f"new{i}": {"v": 2 * i} for i in range(4)}
+        assert tel.executed == 3 + 4
+
+    def test_exception_out_of_run_stops_the_workers(self):
+        before = set(mp.active_children())
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",)).start()
+        assert len(_worker_pids({p.pid for p in before})) == 2
+
+        def explode(tid, result):
+            raise RuntimeError("sink died")
+
+        with pytest.raises(RuntimeError, match="sink died"):
+            pool.run(_ok_tasks(4), on_result=explode)
+        assert set(mp.active_children()) == before
+        assert not pool.started
+        # the next run starts on fresh workers
+        pool.start()
+        results, _ = pool.run(_ok_tasks(2))
+        assert results == {"ok0": {"v": 0}, "ok1": {"v": 2}}
+        pool.close()
+        assert set(mp.active_children()) == before
+
+    def test_close_stops_the_workers(self):
+        before = set(mp.active_children())
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",)).start()
+        pool.run(_ok_tasks(4))
+        assert set(mp.active_children()) != before
+        pool.close()
+        assert set(mp.active_children()) == before
+        pool.close()                    # idempotent
+
+    def test_one_shot_run_leaves_no_workers(self):
+        before = set(mp.active_children())
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",))
+        pool.run(_ok_tasks(4))
+        assert not pool.started
+        assert set(mp.active_children()) == before

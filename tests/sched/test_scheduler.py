@@ -185,6 +185,66 @@ class TestSampleCache:
         assert second.from_cache == second.total
         assert run2.to_json() == run1.to_json()
 
+    def test_injected_enospc_is_a_miss_never_a_failed_run(self, llm, bench,
+                                                          tmp_path):
+        samples = tmp_path / "samples"
+        reference = evaluate_model(llm, bench, num_samples=2, seed=3)
+        plan = FaultPlan(rules=(
+            FaultRule(point="guard.disk.enospc", action="enospc"),))
+        first = Telemetry()
+        with injector(plan):
+            run1 = evaluate_model(llm, bench, num_samples=2, seed=3,
+                                  jobs=2, sample_cache=str(samples),
+                                  events=first)
+        assert run1.to_json() == reference.to_json()
+        assert first.failed == 0 and first.executed == first.total > 0
+        assert list(samples.rglob("*.json")) == []
+        assert list(samples.rglob("*.tmp")) == []
+        # every write degraded to a miss: the rerun executes everything
+        second = Telemetry()
+        run2 = evaluate_model(llm, bench, num_samples=2, seed=3, jobs=2,
+                              sample_cache=str(samples), events=second)
+        assert second.from_cache == 0
+        assert run2.to_json() == reference.to_json()
+
+    def test_cache_faults_fire_on_the_result_loop_not_the_writer(
+            self, llm, bench, tmp_path, monkeypatch):
+        """The writer thread gets only bytes and a path: every cache
+        fault point fires on the thread that runs the pool's result
+        loop, so a worker forked mid-write never inherits a held
+        injector lock."""
+        import threading
+
+        from repro.faults.inject import FaultInjector
+        from repro.sched import SampleCache
+
+        fired, written = [], []
+        real_fire, real_write = FaultInjector.fire, SampleCache.write
+
+        def spy_fire(self, point, key=""):
+            fired.append((point, threading.current_thread().name))
+            return real_fire(self, point, key)
+
+        def spy_write(path, data):
+            written.append(threading.current_thread().name)
+            return real_write(path, data)
+
+        monkeypatch.setattr(FaultInjector, "fire", spy_fire)
+        monkeypatch.setattr(SampleCache, "write", staticmethod(spy_write))
+        plan = FaultPlan(rules=tuple(
+            FaultRule(point=point, action=action, match="no-such-task")
+            for point, action in (("sched.cache.truncate", "truncate"),
+                                  ("sched.cache.bitflip", "bitflip"),
+                                  ("guard.disk.enospc", "enospc"))))
+        with injector(plan):
+            evaluate_model(llm, bench, num_samples=2, seed=3, jobs=2,
+                           sample_cache=str(tmp_path / "samples"))
+        here = threading.current_thread().name
+        cache_points = [name for point, name in fired
+                        if point.startswith(("sched.cache.", "guard.disk."))]
+        assert cache_points and set(cache_points) == {here}
+        assert written and here not in written
+
 
 class TestTelemetry:
     def test_stage_and_status_accounting(self, llm, bench):

@@ -173,3 +173,44 @@ class TestObservability:
         assert any(line.startswith("shards,") for line in lines)
         assert health_code == 200
         assert json.loads(health)["ok"] is True
+
+
+class TestForkedHolders:
+    def test_process_forked_mid_request_does_not_hold_the_response(
+            self, tmp_path):
+        """A worker forked while a connection is open inherits its
+        socket; the response must still end for the client at once,
+        not when that process exits."""
+        import multiprocessing
+        import time
+
+        fork = multiprocessing.get_context("fork")
+        holders = []
+
+        async def go(client, service):
+            real_submit = service.submit
+
+            def submit_and_fork(request):
+                holder = fork.Process(target=time.sleep, args=(30.0,),
+                                      daemon=True)
+                holder.start()
+                holders.append(holder)
+                return real_submit(request)
+
+            service.submit = submit_and_fork
+            began = time.monotonic()
+            status, _, body = await http_request(
+                client.host, client.port, "POST", "/v1/eval",
+                json.dumps(REQUEST_BODY).encode(), timeout=20.0)
+            elapsed = time.monotonic() - began
+            await client.poll_until_done(json.loads(body)["id"])
+            return status, elapsed
+
+        try:
+            status, elapsed = with_server(tmp_path, go)
+        finally:
+            for holder in holders:
+                holder.terminate()
+                holder.join()
+        assert status == 202
+        assert holders and elapsed < 10.0

@@ -1,15 +1,16 @@
-"""One worker pool per service batch, through a live service: the batch
+"""The service's one worker pool, through a live service: the batch
 journal key, a clean batch, journal resume after an injected pool-loop
-death, journal salvage when the restarts run out, and warm-ledger
-dispatch."""
+death, journal salvage when the restarts run out, warm-ledger dispatch,
+and workers that live from the first batch until shutdown."""
 
 import json
+import multiprocessing as mp
 
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, injector
 from repro.harness import Runner
-from repro.sched import TRANSIENT_STATUSES
+from repro.sched import TRANSIENT_STATUSES, WorkerPool
 from repro.serve import ServiceClient, plan_request
 from repro.serve.batcher import batch_key, union_tasks
 from repro.serve.service import BATCH_RESTARTS, DONE
@@ -116,3 +117,39 @@ class TestBatchPool:
         assert snap["ledger_predictions"] > 0
         assert 0.0 < snap["ledger_hit_rate"] <= 1.0
         assert snap["pred_mae_seconds"] >= 0.0
+
+
+class TestLongLivedPool:
+    def test_sequential_batches_fork_the_workers_once(self, tmp_path,
+                                                      monkeypatch,
+                                                      direct_run):
+        spawned = []
+        real_spawn = WorkerPool._spawn
+
+        def counting_spawn(pool):
+            wid = real_spawn(pool)
+            spawned.append(wid)
+            return wid
+
+        monkeypatch.setattr(WorkerPool, "_spawn", counting_spawn)
+
+        async def go(service):
+            client = ServiceClient(service)
+            return [await client.evaluate(make_request())
+                    for _ in range(3)]
+
+        runs, service = run_with_service(tmp_path, go)
+        assert service.metrics_snapshot()["batches"] == 3
+        assert len(spawned) == service.jobs == 2
+        assert all(r.to_json() == direct_run.to_json() for r in runs)
+
+    def test_shutdown_leaves_no_child_alive(self, tmp_path):
+        before = set(mp.active_children())
+
+        async def go(service):
+            run = await _evaluate(service)
+            assert set(mp.active_children()) != before
+            return run
+
+        run_with_service(tmp_path, go)
+        assert set(mp.active_children()) == before
