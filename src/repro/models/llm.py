@@ -15,6 +15,14 @@ Every candidate materialises as *source text*: a solution-bank variant,
 either intact (correct candidate), rewritten as a sequential fallback, or
 passed through a real bug injector.  Nothing here decides correctness —
 the harness does, by compiling and running the sample.
+
+Every random choice reads a seeded PCG64 ``random()`` stream: a weighted
+pick is ``cdf.searchsorted(random(), side="right")`` over a normalised
+cumulative sum (:func:`draw_indices`; bug orders,
+:func:`repro.models.mutate.draw_without_replacement`).  That is what
+``Generator.choice`` computes, bit for bit, without its per-call
+validation, so samples depend on PCG64 and float64 arithmetic only
+(``tests/models/test_generation_golden.py`` pins them).
 """
 
 from __future__ import annotations
@@ -56,6 +64,21 @@ class Sample:
     intended: str            # "correct" | "fallback" | "bug"
 
 
+def draw_indices(cdf: np.ndarray, rng: np.random.Generator,
+                 size: Optional[int] = None):
+    """Indices drawn with replacement from the normalised ``cdf``: an int
+    for ``size=None``, else an int64 array of ``size`` indices.
+
+    This is exactly what ``rng.choice(len(p), size, p=p)`` returns for
+    ``cdf = p.cumsum(); cdf /= cdf[-1]``, leaving ``rng`` in the same state
+    (one ``random()`` per index, ``searchsorted(side="right")``), without
+    the per-call validation of ``p`` that dominates ``Generator.choice``
+    on small pools.
+    """
+    picks = cdf.searchsorted(rng.random(size), side="right")
+    return picks if size is not None else int(picks)
+
+
 def _prompt_seed(model_name: str, prompt_uid: str) -> int:
     digest = hashlib.sha256(f"{model_name}\x00{prompt_uid}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -72,27 +95,30 @@ class SimulatedLLM:
 
     def _pool(self, prompt: Prompt) -> Tuple[List[Sample], np.ndarray]:
         """The candidate outputs this model 'knows' for this prompt, with
-        their logits.  Both are a fixed property of (model, prompt) — a
+        their logits.  Both are a pure function of (model, prompt) — a
         model at fixed weights has one output distribution; the sampling
-        seed only chooses within it."""
+        seed only chooses within it.  The variant cdf is built once per
+        pool and every candidate draws from it."""
         rng = np.random.default_rng(_prompt_seed(self.name, prompt.uid))
         p = self.profile.p_correct(prompt.model, prompt.problem.ptype)
         variants = variants_for(prompt.problem, prompt.model)
         qualities = np.array([v.quality for v in variants])
         weights = qualities ** self.profile.variant_bias(prompt.model)
         weights = weights / weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
 
         solvable_p = min(0.98, PLATEAU * p)
-        solvable = rng.uniform() < solvable_p
+        solvable = rng.random() < solvable_p
         p_within = (p / solvable_p) if solvable else 0.0
 
         pool: List[Sample] = []
         for c in range(POOL):
-            variant: Variant = variants[int(rng.choice(len(variants), p=weights))]
-            if rng.uniform() < p_within:
+            variant: Variant = variants[draw_indices(cdf, rng)]
+            if rng.random() < p_within:
                 pool.append(Sample(variant.source, c, "correct"))
                 continue
-            if prompt.model != "serial" and rng.uniform() < P_SEQUENTIAL_FALLBACK:
+            if prompt.model != "serial" and rng.random() < P_SEQUENTIAL_FALLBACK:
                 serial = variants_for(prompt.problem, "serial")[0]
                 # re-render the serial body under this prompt's signature
                 fallback = self._serial_fallback(prompt, serial)
@@ -115,7 +141,7 @@ class SimulatedLLM:
             for idx, sample in enumerate(pool):
                 if sample.intended != "correct":
                     continue
-                if slop_rng.uniform() < p_slop:
+                if slop_rng.random() < p_slop:
                     repeats = int(slop_rng.integers(1, 4))
                     slow = pessimize(sample.source, prompt.problem, repeats)
                     if slow is not None:
@@ -154,7 +180,9 @@ class SimulatedLLM:
         Matches the paper's §7.1 configuration style: nucleus-style
         sampling is modelled by the finite pool (mass below the top-p
         cut-off never materialises); temperature rescales the candidate
-        logits exactly as Equation (3) rescales token logits.
+        logits exactly as Equation (3) rescales token logits.  The picks
+        are ``num_samples`` draws from the softmax's cdf, seeded by
+        (model, prompt, ``seed``).
         """
         pool, logits = self._pool(prompt)
         rng = np.random.default_rng(
@@ -165,8 +193,10 @@ class SimulatedLLM:
         scaled -= scaled.max()
         probs = np.exp(scaled)
         probs /= probs.sum()
-        picks = rng.choice(len(pool), size=num_samples, p=probs)
-        return [pool[int(k)] for k in picks]
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        picks = draw_indices(cdf, rng, num_samples)
+        return [pool[k] for k in picks.tolist()]
 
 
 def load_model(name: str) -> SimulatedLLM:

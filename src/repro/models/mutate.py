@@ -11,8 +11,9 @@ occur in the given source, and the sampler falls back to another one.
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -279,14 +280,56 @@ def mutator_names(exec_model: str) -> List[str]:
     return _UNIVERSAL + _PER_MODEL[exec_model]
 
 
+def draw_without_replacement(p: np.ndarray,
+                             rng: np.random.Generator) -> List[int]:
+    """A random order of ``range(len(p))``, drawn without replacement with
+    probabilities ``p`` (positive, summing to 1).
+
+    Repeats ``rng.choice(len(p), size=len(p), replace=False, p=p)`` round
+    for round, so the order and ``rng``'s final state are identical: each
+    round draws one ``random()`` per index still missing, zeroes the
+    entries already found, takes the normalised cumulative sum, and keeps
+    the first occurrence of each new ``searchsorted(side="right")`` hit.
+    """
+    n = len(p)
+    p = p.copy()
+    found: List[int] = []
+    while len(found) < n:
+        x = rng.random(n - len(found))
+        if found:
+            p[found] = 0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        hits = cdf.searchsorted(x, side="right").tolist()
+        found.extend(dict.fromkeys(hits))   # first occurrences, in order
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _bug_weights(exec_model: str) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """The mutator names for ``exec_model`` and their normalised weights,
+    both read-only: every call shares them.
+
+    Normalised with numpy's pairwise ``sum``, as the draws always were; a
+    Python ``sum`` rounds differently and would move every bug.
+    """
+    names = tuple(mutator_names(exec_model))
+    weights = np.array([_WEIGHTS.get(n, 1.0) for n in names])
+    p = weights / weights.sum()
+    p.flags.writeable = False
+    return names, p
+
+
 def apply_bug(source: str, exec_model: str,
               rng: np.random.Generator) -> Optional[str]:
-    """Apply one randomly chosen applicable bug; None if nothing applies."""
-    names = list(mutator_names(exec_model))
-    weights = np.array([_WEIGHTS.get(n, 1.0) for n in names])
-    order = list(rng.choice(len(names), size=len(names), replace=False,
-                            p=weights / weights.sum()))
-    for k in order:
+    """Apply one randomly chosen applicable bug; None if nothing applies.
+
+    Mutators are tried in a weighted random order (``_WEIGHTS``) drawn
+    without replacement from ``rng``, the first that changes the source
+    wins, and each mutator draws its own choices from the same ``rng``.
+    """
+    names, p = _bug_weights(exec_model)
+    for k in draw_without_replacement(p, rng):
         mutated = _MUTATORS[names[k]](source, rng)
         if mutated is not None and mutated != source:
             return mutated
