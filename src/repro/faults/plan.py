@@ -59,7 +59,7 @@ INJECTION_POINTS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "sched.result.corrupt": (
         "sched", ("corrupt",),
         "replace a worker's result payload with garbage on the parent "
-        "side of the result queue"),
+        "side of the result channel"),
     "sched.journal.torn_write": (
         "sched", ("torn",),
         "write only a prefix of one journal line (param: fraction kept, "

@@ -7,7 +7,7 @@ Two persistence layers, both keyed by content-hash task ids from
   task of *one run*.  Appends are buffered and **group-committed**: one
   ``write`` + ``flush`` + ``fsync`` covers every record appended since
   the last :meth:`Journal.commit` (the pool calls it once per drain
-  cycle — when the result queue goes momentarily quiet — and
+  cycle — when the result pipes go momentarily quiet — and
   :meth:`Journal.close` commits the remainder), so a burst of fast tasks
   costs one fsync instead of one each.  Recovery semantics are
   unchanged: a record is committed iff newline-terminated, and losing a

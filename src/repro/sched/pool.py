@@ -16,7 +16,9 @@ Fault model (the part a naive ``multiprocessing.Pool`` gets wrong):
   by liveness polling; its in-flight task is requeued and a replacement
   worker is spawned — the run never dies with it, even when the worker
   died idle (idle workers wait for work without holding the task
-  queue's lock, :func:`_next_task`);
+  queue's lock, :func:`_next_task`) or just after it reported (each
+  worker reports on a pipe of its own, so no lock is shared, and what
+  it wrote before it died is still read);
 * a task that **hangs** past ``task_timeout`` gets its worker terminated
   and is treated like a crash;
 * a task that kills ``poison_threshold`` *distinct* workers is **poison**
@@ -54,7 +56,8 @@ import os
 import queue as stdlib_queue
 import time
 from collections import deque
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import inject
 from ..guard.health import GuardPolicy, HealthLedger, VERDICT_POISON
@@ -87,26 +90,46 @@ def _pool_context() -> mp.context.BaseContext:
     return mp.get_context(method)
 
 
-def _poll_result(result_q, timeout: float):
-    """Read one message from the result SimpleQueue, or None on timeout.
+def _receive(conns: Dict[int, Connection], timeout: float) -> List[tuple]:
+    """One message from each worker pipe readable within ``timeout``; an
+    empty list means silence.
 
-    The result channel is a SimpleQueue on purpose: its ``put`` writes
-    synchronously (no feeder thread), so a worker killed by ``os._exit``
-    or a segfault can never take already-reported results down with it —
-    with a buffered ``mp.Queue`` the parent would mis-blame (and
-    eventually fail) tasks that actually finished.
+    Each worker reports on a pipe of its own, written synchronously
+    (``Connection.send``, no feeder thread), so a worker killed by
+    ``os._exit`` or a segfault can never take already-reported results
+    down with it — with a buffered ``mp.Queue`` the parent would
+    mis-blame (and eventually fail) tasks that actually finished.  No
+    write lock is shared either: a shared ``SimpleQueue`` let a worker
+    killed just after a write die holding its lock, and every other
+    worker then blocked on its next report.  A pipe at EOF (its worker
+    exited) or torn by a dying writer is closed and dropped.
     """
-    reader = getattr(result_q, "_reader", None)
+    ready = wait(list(conns.values()), timeout)
+    messages = []
+    for wid, conn in list(conns.items()):
+        if conn not in ready:
+            continue
+        try:
+            messages.append(conn.recv())
+        except (EOFError, OSError):
+            del conns[wid]
+            conn.close()
+    return messages
+
+
+def _drain(conns: Dict[int, Connection], wid: int) -> List[tuple]:
+    """Every message a dead worker wrote before it died; drops its pipe."""
+    conn = conns.pop(wid, None)
+    if conn is None:
+        return []
+    messages = []
     try:
-        if reader is not None:
-            if not reader.poll(timeout):
-                return None
-        elif result_q.empty():          # pragma: no cover - fallback path
-            time.sleep(timeout)
-            return None
-        return result_q.get()
-    except (EOFError, OSError):         # torn write from a dying worker
-        return None
+        while conn.poll(0):
+            messages.append(conn.recv())
+    except (EOFError, OSError):         # EOF, or a torn last write
+        pass
+    conn.close()
+    return messages
 
 
 def _next_task(task_q, timeout: float):
@@ -126,8 +149,9 @@ def _next_task(task_q, timeout: float):
 
 def _worker_main(worker_id: int, init_fn: Optional[Callable],
                  init_args: tuple, work_fn: Callable,
-                 task_q: "mp.Queue", result_q: "mp.Queue") -> None:
-    """Worker loop: init once, then execute tasks until the sentinel.
+                 task_q: "mp.Queue", result_conn: Connection) -> None:
+    """Worker loop: init once, then execute tasks until the sentinel;
+    every message goes to the parent on this worker's own pipe.
 
     Every exception is caught and reported — a worker only ever exits via
     the sentinel, by being killed from outside, or by noticing its parent
@@ -138,7 +162,7 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
     try:
         ctx = init_fn(*init_args) if init_fn is not None else init_args
     except BaseException as exc:  # noqa: BLE001 - must never escape
-        result_q.put(("init_error", worker_id, None,
+        result_conn.send(("init_error", worker_id, None,
                       f"{type(exc).__name__}: {exc}", 0.0))
         return
     while True:
@@ -149,10 +173,10 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
                 os._exit(0)         # orphaned: the scheduler was killed
             continue
         if item is None:
-            result_q.put(("bye", worker_id, None, None, 0.0))
+            result_conn.send(("bye", worker_id, None, None, 0.0))
             return
         task_id, attempt, payload = item
-        result_q.put(("start", worker_id, task_id, None, 0.0))
+        result_conn.send(("start", worker_id, task_id, None, 0.0))
         if inject.ACTIVE is not None:
             # fork-inherited injector: keys carry the attempt index so a
             # kill rule matching "#a0" takes down only the first dispatch
@@ -165,11 +189,11 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
         try:
             result = work_fn(ctx, payload)
         except BaseException as exc:  # noqa: BLE001 - fault isolation
-            result_q.put(("fail", worker_id, task_id,
+            result_conn.send(("fail", worker_id, task_id,
                           f"{type(exc).__name__}: {exc}",
                           time.perf_counter() - began))
         else:
-            result_q.put(("done", worker_id, task_id, result,
+            result_conn.send(("done", worker_id, task_id, result,
                           time.perf_counter() - began))
 
 
@@ -213,8 +237,9 @@ class WorkerPool:
         self._ctx = _pool_context()
         # set by start(), cleared by close()
         self._task_q = None
-        self._result_q = None
         self._procs: Dict[int, mp.process.BaseProcess] = {}
+        #: worker id → the read end of that worker's result pipe
+        self._conns: Dict[int, Connection] = {}
         self._next_wid = 0
 
     # -- lifetime ------------------------------------------------------------
@@ -228,16 +253,15 @@ class WorkerPool:
         :meth:`close`.
 
         On a started pool with a dead worker this starts over on fresh
-        workers and queues: a worker killed just after it sent a result
-        can die holding the result queue's write lock, and then no other
-        worker could ever report again."""
+        workers and a fresh task queue: a worker killed while it read a
+        task can die holding the task queue's read lock, and then no
+        other worker could ever take a task again."""
         if any(not proc.is_alive() for proc in self._procs.values()):
             for proc in self._procs.values():
                 proc.terminate()
             self.close()
         if self._task_q is None:
             self._task_q = self._ctx.Queue(maxsize=self.queue_bound + 1)
-            self._result_q = self._ctx.SimpleQueue()
         while len(self._procs) < self.jobs:
             self._spawn()
         return self
@@ -246,9 +270,9 @@ class WorkerPool:
         """Stop every worker; a later :meth:`start` forks fresh ones."""
         if self._task_q is None:
             return
-        procs, task_q, result_q = self._procs, self._task_q, self._result_q
-        self._procs = {}
-        self._task_q = self._result_q = None
+        procs, task_q, conns = self._procs, self._task_q, self._conns
+        self._procs, self._conns = {}, {}
+        self._task_q = None
         # drain the task queue so sentinels are the next thing workers see
         _discard_queued(task_q)
         for _ in procs:
@@ -265,21 +289,26 @@ class WorkerPool:
                 proc.join(timeout=1.0)
         task_q.cancel_join_thread()
         task_q.close()
-        if hasattr(result_q, "close"):
-            result_q.close()
+        for conn in conns.values():
+            conn.close()
 
     def _spawn(self) -> int:
-        """Fork one worker under the next id; returns the id."""
+        """Fork one worker under the next id, with its own result pipe;
+        returns the id."""
         wid = self._next_wid
         self._next_wid += 1
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(wid, self.init_fn, self.init_args, self.work_fn,
-                  self._task_q, self._result_q),
+                  self._task_q, writer),
             daemon=True,
         )
         proc.start()
+        # only the worker may hold the write end, so its death is EOF
+        writer.close()
         self._procs[wid] = proc
+        self._conns[wid] = reader
         return wid
 
     # -- the run loop --------------------------------------------------------
@@ -305,7 +334,7 @@ class WorkerPool:
         that order for fresh work.  ``predictions`` (task id →
         ``(value, provenance)``) decorate ``TaskFinished`` events so
         predicted-vs-actual error is observable.  ``on_drain`` fires
-        once per drain cycle — when the result channel goes momentarily
+        once per drain cycle — when every result pipe goes momentarily
         quiet — and is the journal's group-commit hook.  ``emit``
         replaces the pool's event sink for this run.
 
@@ -344,7 +373,7 @@ class WorkerPool:
         results: Dict[str, dict] = {}
         failures: Dict[str, str] = {}
 
-        task_q, result_q, procs = self._task_q, self._result_q, self._procs
+        task_q, conns, procs = self._task_q, self._conns, self._procs
         pending = deque(payloads)         # fresh work, dispatch order
         retries: deque = deque()          # requeues: strictly behind fresh
         outstanding: set = set()          # dispatched, not yet finished
@@ -448,65 +477,70 @@ class WorkerPool:
                 queue_depth=len(outstanding), busy_workers=len(running),
                 workers=len(procs)))
 
+        def handle(message: tuple) -> None:
+            kind, wid, tid, body, duration = message
+            if kind == "init_error":
+                # a worker that cannot even initialise is a
+                # configuration problem, not a task fault
+                raise RuntimeError(
+                    f"scheduler worker failed to initialise: {body}")
+            if kind == "start":
+                deadline = (time.monotonic()
+                            + (self.task_timeout or float("inf")))
+                running[wid] = (tid, deadline)
+                if tid in payloads:
+                    emit(TaskStarted(
+                        task_id=tid,
+                        kind=payloads[tid].get("kind", ""), worker=wid))
+                return
+            if kind not in ("done", "fail"):
+                return
+            running.pop(wid, None)
+            if tid not in payloads or settled(tid):
+                return      # an earlier run's task, or a swept orphan
+            if kind == "fail":
+                copy_failed(tid, body)
+                snapshot()
+                return
+            if inject.ACTIVE is not None and inject.ACTIVE.fire(
+                    "sched.result.corrupt", tid) is not None:
+                body = {"__corrupted__": True}
+            if self.validate is not None \
+                    and not self.validate(payloads[tid], body):
+                copy_failed(
+                    tid, "result payload failed validation "
+                         "(corrupted on the result channel)")
+                snapshot()
+                return
+            outstanding.discard(tid)
+            results[tid] = body
+            if on_result is not None:
+                on_result(tid, body)
+            predicted, pred_source = preds.get(tid, (0.0, ""))
+            emit(TaskFinished(
+                task_id=tid,
+                kind=payloads[tid].get("kind", ""),
+                source=SOURCE_EXECUTED,
+                status=str((body or {}).get("status", "")),
+                worker=wid, duration=duration,
+                attempts=attempts[tid],
+                diagnostics=len(
+                    (body or {}).get("diagnostics") or ()),
+                counters=payload_counters(body),
+                predicted=predicted,
+                predicted_source=pred_source))
+            snapshot()
+
         while True:
             fill_queue()
             if finished() >= total:
                 break
-            message = _poll_result(result_q, _POLL)
+            messages = _receive(conns, _POLL)
             now = time.monotonic()
-            if message is not None:
+            if messages:
                 last_message = now
-                kind, wid, tid, body, duration = message
-                if kind == "init_error":
-                    # a worker that cannot even initialise is a
-                    # configuration problem, not a task fault
-                    raise RuntimeError(
-                        f"scheduler worker failed to initialise: {body}")
-                if kind == "start":
-                    deadline = now + (self.task_timeout or float("inf"))
-                    running[wid] = (tid, deadline)
-                    if tid in payloads:
-                        emit(TaskStarted(
-                            task_id=tid,
-                            kind=payloads[tid].get("kind", ""), worker=wid))
-                    continue
-                if kind not in ("done", "fail"):
-                    continue
-                running.pop(wid, None)
-                if tid not in payloads or settled(tid):
-                    continue    # an earlier run's task, or a swept orphan
-                if kind == "fail":
-                    copy_failed(tid, body)
-                    snapshot()
-                    continue
-                if inject.ACTIVE is not None and inject.ACTIVE.fire(
-                        "sched.result.corrupt", tid) is not None:
-                    body = {"__corrupted__": True}
-                if self.validate is not None \
-                        and not self.validate(payloads[tid], body):
-                    copy_failed(
-                        tid, "result payload failed validation "
-                             "(corrupted on the result channel)")
-                    snapshot()
-                    continue
-                outstanding.discard(tid)
-                results[tid] = body
-                if on_result is not None:
-                    on_result(tid, body)
-                predicted, pred_source = preds.get(tid, (0.0, ""))
-                emit(TaskFinished(
-                    task_id=tid,
-                    kind=payloads[tid].get("kind", ""),
-                    source=SOURCE_EXECUTED,
-                    status=str((body or {}).get("status", "")),
-                    worker=wid, duration=duration,
-                    attempts=attempts[tid],
-                    diagnostics=len(
-                        (body or {}).get("diagnostics") or ()),
-                    counters=payload_counters(body),
-                    predicted=predicted,
-                    predicted_source=pred_source))
-                snapshot()
+                for message in messages:
+                    handle(message)
                 continue
 
             # silence: the drain cycle ended — group-commit whatever
@@ -517,6 +551,9 @@ class WorkerPool:
             for wid in list(procs):
                 proc = procs[wid]
                 if not proc.is_alive():
+                    # what it reported before it died counts first
+                    for message in _drain(conns, wid):
+                        handle(message)
                     on_worker_death(
                         wid, f"worker exited with code {proc.exitcode}")
             for wid, (tid, deadline) in list(running.items()):

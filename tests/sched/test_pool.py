@@ -42,6 +42,12 @@ def _work(ctx, payload):
             marker.write_text("raised here")
             raise RuntimeError("transient boom")
         return {"v": "recovered"}
+    if action == "after_marker":
+        marker = Path(payload["marker"])
+        deadline = time.monotonic() + 10.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return {"v": payload["v"] * 2}
     if action == "crash":
         os._exit(13)
     if action == "hang":
@@ -136,6 +142,127 @@ class TestFaults:
         assert not runner.is_alive(), "run stalled after an idle kill"
         assert out["failures"] == {}
         assert out["results"]["after"] == {"v": 10}
+
+    def test_worker_dead_on_the_result_channel_does_not_stall_the_run(
+            self, tmp_path, monkeypatch):
+        """A worker killed just after it wrote to the result channel must
+        not keep any other worker from reporting.  The victim takes the
+        channel's write lock, where the channel has one, and exits; every
+        other task reports only after that.  The run must still finish,
+        whole and on time."""
+        import threading
+
+        from repro.sched import pool as pool_mod
+
+        real_main = pool_mod._worker_main
+        marker = tmp_path / "died"
+
+        def dying_main(wid, init_fn, init_args, work_fn, task_q, channel):
+            def work(ctx, payload):
+                if payload["action"] == "die_on_channel" \
+                        and not marker.exists():
+                    lock = getattr(channel, "_wlock", None)
+                    if lock is not None:
+                        lock.acquire()
+                    marker.write_text("died here")
+                    os._exit(13)
+                if payload["action"] == "die_on_channel":
+                    return {"v": "recovered"}
+                return work_fn(ctx, payload)
+            real_main(wid, init_fn, init_args, work, task_q, channel)
+
+        monkeypatch.setattr(pool_mod, "_worker_main", dying_main)
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",), task_timeout=3.0,
+                          max_retries=2, max_crashes=3)
+        tasks = [("victim", {"kind": "sample", "action": "die_on_channel"})]
+        tasks += [(f"ok{i}", {"kind": "sample", "action": "after_marker",
+                              "marker": str(marker), "v": i})
+                  for i in range(6)]
+        out = {}
+        runner = threading.Thread(
+            target=lambda: out.update(zip(("results", "failures"),
+                                          pool.run(tasks))),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        stalled = runner.is_alive()
+        deadline = time.monotonic() + 60.0
+        while runner.is_alive() and time.monotonic() < deadline:
+            for proc in list(pool._procs.values()):
+                proc.terminate()    # spend the crash budget to end it
+            runner.join(timeout=0.5)
+        assert not stalled, "run stalled behind a worker dead on the channel"
+        assert out["failures"] == {}
+        assert out["results"]["victim"] == {"v": "recovered"}
+        assert out["results"]["ok5"] == {"v": 10}
+
+    def test_a_report_written_before_death_still_counts(self, tmp_path,
+                                                         monkeypatch):
+        """A worker that dies right after it reported keeps its result:
+        the task is neither retried nor blamed for the death."""
+        from repro.sched import pool as pool_mod
+
+        real_main = pool_mod._worker_main
+
+        class LastWords:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, message):
+                self.conn.send(message)
+                if message[0] == "done" and message[2] == "last":
+                    os._exit(13)
+
+        def dying_main(wid, init_fn, init_args, work_fn, task_q, conn):
+            real_main(wid, init_fn, init_args, work_fn, task_q,
+                      LastWords(conn))
+
+        monkeypatch.setattr(pool_mod, "_worker_main", dying_main)
+        tel = Telemetry()
+        tel.keep_events = True
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",), max_retries=0, emit=tel)
+        # the slow task keeps the run open until the death is seen
+        tasks = [("last", {"kind": "sample", "action": "ok", "v": 4}),
+                 ("slow", {"kind": "sample", "action": "mark_then_sleep",
+                           "marker": str(tmp_path / "slow"), "s": 1.0})]
+        results, failures = pool.run(tasks)
+        assert failures == {}
+        assert results["last"] == {"v": 8}
+        assert tel.crashes == 1
+        assert [e.task_id for e in tel.events
+                if isinstance(e, WorkerCrashed)] == [None]
+
+    def test_a_torn_report_is_a_crash_not_a_stall(self, tmp_path,
+                                                   monkeypatch):
+        from repro.sched import pool as pool_mod
+
+        real_main = pool_mod._worker_main
+        marker = tmp_path / "torn"
+
+        def dying_main(wid, init_fn, init_args, work_fn, task_q, conn):
+            def work(ctx, payload):
+                if payload["action"] == "tear" and not marker.exists():
+                    marker.write_text("tore here")
+                    # a length header for 256 bytes, then 7 of them
+                    os.write(conn.fileno(), b"\0\0\1\0partial")
+                    os._exit(13)
+                if payload["action"] == "tear":
+                    return {"v": "recovered"}
+                return work_fn(ctx, payload)
+            real_main(wid, init_fn, init_args, work, task_q, conn)
+
+        monkeypatch.setattr(pool_mod, "_worker_main", dying_main)
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",), max_retries=1)
+        began = time.monotonic()
+        results, failures = pool.run(
+            [("torn", {"kind": "sample", "action": "tear"})]
+            + _ok_tasks(4))
+        assert failures == {}
+        assert results["torn"] == {"v": "recovered"}
+        assert time.monotonic() - began < 20.0
 
     def test_always_crashing_task_exhausts_budget(self):
         pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
@@ -316,9 +443,12 @@ class TestLongLivedPool:
         try:
             pool.run(_ok_tasks(3))
             # late messages from the first run, read by the second
-            pool._result_q.put(("start", 0, "ok1", None, 0.0))
-            pool._result_q.put(("done", 0, "ok1", {"v": -1}, 0.1))
-            pool._result_q.put(("fail", 1, "ok2", "stale boom", 0.1))
+            late, writer = mp.Pipe(duplex=False)
+            pool._conns[-1] = late
+            writer.send(("start", 0, "ok1", None, 0.0))
+            writer.send(("done", 0, "ok1", {"v": -1}, 0.1))
+            writer.send(("fail", 1, "ok2", "stale boom", 0.1))
+            writer.close()
             results, failures = pool.run(
                 [(f"new{i}", {"kind": "sample", "action": "ok", "v": i})
                  for i in range(4)])
