@@ -151,6 +151,8 @@ class Telemetry:
     statuses: Dict[str, int] = field(default_factory=dict)
     diagnostics: int = 0
     provenance: Dict[str, str] = field(default_factory=dict)
+    #: wall seconds per stage, summed over its ``StageFinished`` events:
+    #: one each for a ``run_scheduled`` run, one ``plan`` per service batch
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     busy_seconds: float = 0.0
     crashes: int = 0
@@ -207,7 +209,8 @@ class Telemetry:
             if event.kind == "timeout":
                 self.infra_timeouts += 1
         elif isinstance(event, StageFinished):
-            self.stage_seconds[event.stage] = event.seconds
+            self.stage_seconds[event.stage] = (
+                self.stage_seconds.get(event.stage, 0.0) + event.seconds)
         elif isinstance(event, ProgressSnapshot):
             self.workers = max(self.workers, event.workers)
         elif isinstance(event, RunFinished):

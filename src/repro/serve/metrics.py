@@ -197,6 +197,7 @@ class ServiceMetrics:
                 "estimator_predictions": t.estimator_predictions,
                 "ledger_hit_rate": t.ledger_hit_rate(),
                 "pred_mae_seconds": t.pred_mae_seconds(),
+                "stage_seconds": dict(t.stage_seconds),
                 **{name: t.counters.get(name, 0)
                    for name in WORKER_COUNTERS},
                 "ema_batch_seconds": self.ema_batch_seconds,

@@ -51,6 +51,7 @@ from ..prof import run_cost_totals
 from ..sched.events import (
     SOURCE_EXECUTED,
     SchedulerAbort,
+    StageFinished,
     TaskFinished,
     chain,
 )
@@ -398,6 +399,8 @@ class EvalService:
         for plan in plans:
             task_keys.update(plan_keys(plan))
             predictions.update(predict_plan(plan, self.runner, self.ledger))
+        self.metrics.observe(
+            StageFinished(stage="plan", seconds=time.monotonic() - t0))
         results = await loop.run_in_executor(
             self._executor, self._run_tasks, union, task_keys, predictions)
         wall = time.monotonic() - t0

@@ -11,6 +11,7 @@ from repro.analysis import profile_csv, to_csv
 from repro.sched.events import (
     SOURCE_EXECUTED,
     WORKER_COUNTERS,
+    StageFinished,
     TaskFinished,
 )
 from repro.serve import EvalRequest, ServiceClient, ServiceMetrics
@@ -89,6 +90,13 @@ class TestMetricsContract:
         assert pool["tasks"] == snap["tasks_executed"]
 
 
+def test_stage_seconds_sum_repeated_stages():
+    metrics = ServiceMetrics(workers=1)
+    for seconds in (0.25, 0.5):
+        metrics.observe(StageFinished(stage="plan", seconds=seconds))
+    assert metrics.snapshot()["stage_seconds"] == {"plan": 0.75}
+
+
 class TestPoolTally:
     def test_metrics_read_the_one_service_telemetry(self, tmp_path):
         """Two batches, the second served entirely from the sample cache:
@@ -131,6 +139,23 @@ class TestPoolTally:
         for name in WORKER_COUNTERS:
             assert second[name] == t.counters.get(name, 0), name
             assert second[name] == first[name], name
+
+    def test_planning_time_accumulates_per_batch(self, tmp_path):
+        """Each batch adds its planning wall time to ``stage_seconds``;
+        the service reports no other stage."""
+        async def go(service):
+            client = ServiceClient(service)
+            snaps = []
+            for _ in range(2):
+                await client.evaluate(make_request())
+                snaps.append(service.metrics_snapshot())
+            return snaps
+
+        (first, second), service = run_with_service(tmp_path, go)
+        assert set(first["stage_seconds"]) == {"plan"}
+        assert 0.0 < first["stage_seconds"]["plan"] \
+            < second["stage_seconds"]["plan"]
+        assert second["stage_seconds"] == service.telemetry.stage_seconds
 
     def test_concurrent_observe_loses_no_update(self):
         """Every read-modify-write of the shared Telemetry happens under
