@@ -56,8 +56,8 @@ import os
 import queue as stdlib_queue
 import time
 from collections import deque
-from multiprocessing.connection import Connection, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..faults import inject
 from ..guard.health import GuardPolicy, HealthLedger, VERDICT_POISON
@@ -74,6 +74,9 @@ from .events import (
     WorkerReplaced,
     payload_counters,
 )
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 #: parent-side poll interval for results / liveness, seconds
 _POLL = 0.05
@@ -104,6 +107,9 @@ def _receive(conns: Dict[int, Connection], timeout: float) -> List[tuple]:
     worker then blocked on its next report.  A pipe at EOF (its worker
     exited) or torn by a dying writer is closed and dropped.
     """
+    # imported on first use, so importing the package does not load it
+    from multiprocessing.connection import wait
+
     ready = wait(list(conns.values()), timeout)
     messages = []
     for wid, conn in list(conns.items()):
@@ -163,7 +169,7 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
         ctx = init_fn(*init_args) if init_fn is not None else init_args
     except BaseException as exc:  # noqa: BLE001 - must never escape
         result_conn.send(("init_error", worker_id, None,
-                      f"{type(exc).__name__}: {exc}", 0.0))
+                          f"{type(exc).__name__}: {exc}", 0.0))
         return
     while True:
         try:
@@ -190,11 +196,11 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
             result = work_fn(ctx, payload)
         except BaseException as exc:  # noqa: BLE001 - fault isolation
             result_conn.send(("fail", worker_id, task_id,
-                          f"{type(exc).__name__}: {exc}",
-                          time.perf_counter() - began))
+                              f"{type(exc).__name__}: {exc}",
+                              time.perf_counter() - began))
         else:
             result_conn.send(("done", worker_id, task_id, result,
-                          time.perf_counter() - began))
+                              time.perf_counter() - began))
 
 
 class WorkerPool:
