@@ -16,13 +16,14 @@ either intact (correct candidate), rewritten as a sequential fallback, or
 passed through a real bug injector.  Nothing here decides correctness —
 the harness does, by compiling and running the sample.
 
-Every random choice reads a seeded PCG64 ``random()`` stream: a weighted
-pick is ``cdf.searchsorted(random(), side="right")`` over a normalised
-cumulative sum (:func:`draw_indices`; bug orders,
+Every weighted pick is ``cdf.searchsorted(random(), side="right")`` over
+a normalised cumulative sum, on a seeded PCG64 generator
+(:func:`draw_indices`; bug orders,
 :func:`repro.models.mutate.draw_without_replacement`).  That is what
 ``Generator.choice`` computes, bit for bit, without its per-call
-validation, so samples depend on PCG64 and float64 arithmetic only
-(``tests/models/test_generation_golden.py`` pins them).
+validation, so samples depend on PCG64 and float64 arithmetic, not on
+``Generator.choice`` internals (``tests/models/test_generation_golden.py``
+pins them).
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ class SimulatedLLM:
         variants = variants_for(prompt.problem, prompt.model)
         qualities = np.array([v.quality for v in variants])
         weights = qualities ** self.profile.variant_bias(prompt.model)
+        # normalised before the cumsum, as Generator.choice received it,
+        # so the cdf rounds exactly as the draws always did
         weights = weights / weights.sum()
         cdf = weights.cumsum()
         cdf /= cdf[-1]

@@ -19,10 +19,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.bench import PCGBench
+from repro.bench import EXECUTION_MODELS, PCGBench
 from repro.models import all_models
 from repro.models.llm import draw_indices
-from repro.models.mutate import draw_without_replacement
+from repro.models.mutate import _bug_weights, draw_without_replacement
 
 GOLDEN = "081811920d06fa0d17486c7a4f17dd562902d4c1cfda06b441d36a3c22f4caee"
 
@@ -101,4 +101,14 @@ def test_draw_without_replacement_matches_generator_choice(case):
     assert got == [int(k) for k in want]
     assert sorted(got) == list(range(size))
     assert ours.bit_generator.state == ref.bit_generator.state
-    assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("exec_model", EXECUTION_MODELS)
+def test_bug_orders_match_generator_choice(exec_model):
+    """The real mutator weights: mostly ties, a few rare bugs."""
+    _, p = _bug_weights(exec_model)
+    for seed in range(25):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = ref.choice(len(p), size=len(p), replace=False, p=p)
+        assert draw_without_replacement(p, ours) == [int(k) for k in want]
+        assert ours.bit_generator.state == ref.bit_generator.state
