@@ -80,15 +80,3 @@ def csr_graph(rng: np.random.Generator, n: int, avg_degree: int = 6,
         colidx.extend(sorted(adj[v]))
         rowptr.append(len(colidx))
     return np.asarray(rowptr, dtype=np.int64), np.asarray(colidx, dtype=np.int64)
-
-
-def fmt_arr(a) -> str:
-    """Render an array for prompt example text."""
-    items = []
-    for v in np.asarray(a).ravel():
-        if isinstance(v, (np.integer, int)):
-            items.append(str(int(v)))
-        else:
-            f = float(v)
-            items.append(str(int(f)) if f.is_integer() else f"{f:g}")
-    return "[" + ", ".join(items) + "]"

@@ -109,9 +109,6 @@ class Problem:
     def checked_params(self) -> List[ParamSpec]:
         return [p for p in self.params if p.role in ("out", "inout")]
 
-    def input_arrays(self, inputs: Dict[str, object]) -> List[object]:
-        return [inputs[p.name] for p in self.params]
-
     def default_gpu_threads(self, inputs: Dict[str, object]) -> int:
         if self.gpu_threads is not None:
             return self.gpu_threads(inputs)

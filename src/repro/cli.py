@@ -90,9 +90,8 @@ def _split(value: Optional[str]) -> Optional[List[str]]:
     return [v.strip() for v in value.split(",")] if value else None
 
 
-def _sched_kwargs(args: argparse.Namespace, llm_name: str,
-                  with_timing: bool) -> dict:
-    """Scheduler pass-through kwargs for evaluate_model, CLI runs only.
+def _sched_kwargs(args: argparse.Namespace, llm_name: str) -> dict:
+    """``run_scheduled`` kwargs for one model of ``repro eval``.
 
     Journals live under the cache root so ``--resume`` after a Ctrl-C
     picks up exactly where the run died; a progress line is printed to
@@ -102,23 +101,17 @@ def _sched_kwargs(args: argparse.Namespace, llm_name: str,
 
     from .sched import ProgressPrinter, journal_path_for
 
-    dispatch = getattr(args, "dispatch", "lpt")
-    if args.jobs <= 1 and not args.resume and dispatch == "lpt":
-        return {}
     root = os.environ.get("REPRO_CACHE", ".repro_cache")
     journal = journal_path_for(root, llm_name, args.samples,
-                               args.temperature, with_timing, args.seed,
+                               args.temperature, args.timing, args.seed,
                                tag="cli")
-    kwargs = {
-        "jobs": max(args.jobs, 1),
-        "journal": str(journal),
+    return {
+        "journal_path": journal,
         "resume": args.resume and journal.exists(),
-        "sample_cache": str(Path(root) / "samples"),
-        "dispatch": dispatch,
-        "events": ProgressPrinter(
-            lambda line: print(line, file=sys.stderr)),
+        "sample_cache_dir": Path(root) / "samples",
+        "dispatch": args.dispatch,
+        "emit": ProgressPrinter(lambda line: print(line, file=sys.stderr)),
     }
-    return kwargs
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -168,21 +161,30 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .sched.scheduler import harness_pool, run_scheduled
+
     bench = PCGBench(problem_types=_split(args.ptypes),
                      models=_split(args.exec))
     model_names = _split(args.models) or list(MODEL_ORDER)
     runner = Runner(static_screen=args.static_screen,
                     vectorize=args.vectorize)
+    scheduled = args.jobs > 1 or args.resume or args.dispatch != "lpt"
+    config = dict(num_samples=args.samples, temperature=args.temperature,
+                  with_timing=args.timing, seed=args.seed,
+                  profile=args.profile)
     runs = {}
-    for name in model_names:
-        print(f"evaluating {name} on {len(bench)} prompts ...",
-              file=sys.stderr)
-        runs[name] = evaluate_model(
-            load_model(name), bench, num_samples=args.samples,
-            temperature=args.temperature, with_timing=args.timing,
-            runner=runner, seed=args.seed, profile=args.profile,
-            **_sched_kwargs(args, name, args.timing),
-        )
+    # one pool serves every model; it forks at the first task it runs
+    with harness_pool(runner, args.jobs) as pool:
+        for name in model_names:
+            print(f"evaluating {name} on {len(bench)} prompts ...",
+                  file=sys.stderr)
+            llm = load_model(name)
+            if scheduled:
+                runs[name], _ = run_scheduled(
+                    llm, bench, pool, **config, **_sched_kwargs(args, name))
+            else:
+                runs[name] = evaluate_model(llm, bench, runner=runner,
+                                            **config)
     for builder in (fig1_pass_by_exec_model, fig2_overall,
                     fig3_pass_by_ptype):
         _, text = builder(runs)
@@ -245,36 +247,44 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    from .sched.scheduler import harness_pool
+
     bench = PCGBench()
     cache = EvalCache()
     runner = Runner(static_screen=args.static_screen,
                     vectorize=args.vectorize)
+    scheduled = args.jobs > 1 or args.resume
+    # one pool serves all 19 runs; it forks at the first task it runs
+    pool = harness_pool(runner, args.jobs)
 
     def runs_for(samples, temperature, timing, seed, names):
         return {
             n: cache.get_or_run(load_model(n), bench, num_samples=samples,
                                 temperature=temperature, with_timing=timing,
-                                seed=seed, runner=runner, jobs=args.jobs,
+                                seed=seed, runner=runner,
+                                pool=pool if scheduled else None,
                                 resume=args.resume)
             for n in names
         }
 
-    print(table1())
-    print("\n" + table2())
-    k1 = runs_for(args.samples, 0.2, False, 11, MODEL_ORDER)
-    for builder in (fig1_pass_by_exec_model, fig2_overall,
-                    fig3_pass_by_ptype):
-        _, text = builder(k1)
+    with pool:
+        print(table1())
+        print("\n" + table2())
+        k1 = runs_for(args.samples, 0.2, False, 11, MODEL_ORDER)
+        for builder in (fig1_pass_by_exec_model, fig2_overall,
+                        fig3_pass_by_ptype):
+            _, text = builder(k1)
+            print("\n" + text)
+        open_models = [m for m in MODEL_ORDER if not profile(m).chat_only]
+        hot = runs_for(max(args.samples, 25), 0.8, False, 13, open_models)
+        _, text = fig4_pass_curve(hot)
         print("\n" + text)
-    open_models = [m for m in MODEL_ORDER if not profile(m).chat_only]
-    hot = runs_for(max(args.samples, 25), 0.8, False, 13, open_models)
-    _, text = fig4_pass_curve(hot)
-    print("\n" + text)
-    timed = runs_for(min(args.samples, 5), 0.2, True, 17, MODEL_ORDER)
-    for builder in (fig5_efficiency_curves, fig6_speedups, fig7_efficiency):
-        _, text = builder(timed)
-        print("\n" + text)
-    return 0
+        timed = runs_for(min(args.samples, 5), 0.2, True, 17, MODEL_ORDER)
+        for builder in (fig5_efficiency_curves, fig6_speedups,
+                        fig7_efficiency):
+            _, text = builder(timed)
+            print("\n" + text)
+        return 0
 
 
 def _detect_model(checked) -> str:

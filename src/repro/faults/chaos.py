@@ -473,7 +473,8 @@ def check_dispatch_resilience(workdir: Union[str, Path],
       reference, with the ledger demonstrably consulted (non-vacuity:
       ``ledger_predictions >= 1`` and ``batch_restarts >= 1``).
     """
-    from ..sched.scheduler import run_scheduled
+    from ..harness.runner import Runner
+    from ..sched.scheduler import harness_pool, run_scheduled
 
     llm, bench = chaos_slice()
     reference = _eval(llm, bench)
@@ -490,10 +491,10 @@ def check_dispatch_resilience(workdir: Union[str, Path],
     # serve the same request under batch deaths + worker kills
     serve_dir = Path(workdir)
     serve_dir.mkdir(parents=True, exist_ok=True)
-    warm_run, _ = run_scheduled(
-        llm, bench, num_samples=CHAOS_SAMPLES, temperature=0.2,
-        seed=CHAOS_SEED, jobs=jobs,
-        ledger_path=serve_dir / "durations.jsonl")
+    with harness_pool(Runner(), jobs) as pool:
+        warm_run, _ = run_scheduled(
+            llm, bench, pool, num_samples=CHAOS_SAMPLES, temperature=0.2,
+            seed=CHAOS_SEED, ledger_path=serve_dir / "durations.jsonl")
     if warm_run.to_json() != reference.to_json():
         return ChaosReport("dispatch-resilience", False,
                            "the ledger-warming run diverged from the "

@@ -3,7 +3,8 @@
 The journal layer proves a *journal* survives being killed at any byte
 offset; this module proves the *process* does.  :func:`run_supervised`
 forks a child that runs :func:`repro.sched.scheduler.run_scheduled`
-against a journal with ``resume=True``.  When armed with ``kill_at=k``,
+against a journal with ``resume=True``, on a worker pool the child
+builds and stops itself.  When armed with ``kill_at=k``,
 the child installs a fault plan containing ``guard.process.kill`` with
 occurrence ``k`` and fires the point once per scheduler event — so at
 the k-th event boundary the child delivers ``SIGKILL`` to itself: no
@@ -66,8 +67,9 @@ def _guard_kill_sink(counter: List[int]):
 
 def _child_main(conn, kill_at: Optional[int], plan: Optional[FaultPlan],
                 journal_path: str, run_kwargs: dict) -> None:
+    from ..harness.runner import Runner
     from ..sched.events import chain
-    from ..sched.scheduler import run_scheduled
+    from ..sched.scheduler import harness_pool, run_scheduled
 
     # The fork inherited the parent's process-global injector (if any);
     # this incarnation installs its own plan, so drop the inherited one
@@ -83,9 +85,13 @@ def _child_main(conn, kill_at: Optional[int], plan: Optional[FaultPlan],
     counter = [0]
     emit = chain(_guard_kill_sink(counter), run_kwargs.pop("emit", None))
     try:
-        run, _telemetry = run_scheduled(
-            journal_path=journal_path, resume=True, emit=emit,
-            **run_kwargs)
+        # the child's own pool, forked after the plan above is installed:
+        # a worker sees only the fault plan its parent held at the fork
+        with harness_pool(run_kwargs.pop("runner", None) or Runner(),
+                          run_kwargs.pop("jobs", 1)) as pool:
+            run, _telemetry = run_scheduled(
+                pool=pool, journal_path=journal_path, resume=True,
+                emit=emit, **run_kwargs)
         conn.send({"ok": True, "digest": run.digest(),
                    "json": run.to_json(), "events": counter[0]})
     except BaseException as exc:  # noqa: BLE001 - report, don't hang parent
@@ -125,6 +131,9 @@ def run_supervised(llm, bench, *, workdir: Union[str, Path],
                    **run_kwargs) -> SupervisedResult:
     """Run ``run_scheduled(llm, bench, **run_kwargs)`` under supervision.
 
+    ``run_kwargs`` are ``run_scheduled``'s, except that ``runner`` and
+    ``jobs`` (default 1) describe the worker pool each child builds for
+    itself after it forks; a pool the caller holds is never used there.
     ``kill_at`` arms a one-shot whole-process SIGKILL at that event
     boundary of the *first* incarnation; every later incarnation runs
     unarmed and resumes from the shared journal.  ``plan`` composes

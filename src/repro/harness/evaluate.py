@@ -13,11 +13,14 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..bench.registry import PCGBench
 from ..models.llm import SimulatedLLM
 from .runner import Runner
+
+if TYPE_CHECKING:
+    from ..sched.pool import WorkerPool
 
 #: environment knob: scale down sample counts for quick runs
 ENV_SAMPLES = "REPRO_SAMPLES"
@@ -211,9 +214,11 @@ def evaluate_model(
     after each prompt.  ``jobs>1`` — or any of
     ``journal``/``resume``/``sample_cache``/``events`` — routes through
     :func:`repro.sched.scheduler.run_scheduled`: the same tasks on a
-    fault-isolated worker pool, with JSONL checkpointing (``journal`` +
-    ``resume=True``) and a content-addressed cross-run sample cache.
-    Both paths assemble byte-identical :class:`EvalRun` objects.
+    fault-isolated pool of ``jobs`` workers that lives for this call and
+    forks at its first task that is not a cache hit, with JSONL
+    checkpointing (``journal`` + ``resume=True``) and a content-addressed
+    cross-run sample cache.  Both paths assemble byte-identical
+    :class:`EvalRun` objects.
 
     ``profile=True`` (timing runs only) additionally records a
     cost-decomposed :mod:`repro.prof` profile on every timed sample.
@@ -225,23 +230,22 @@ def evaluate_model(
     throughput policy only: the assembled run is byte-identical under
     either policy.
     """
-    if profile and not with_timing:
-        raise ConfigurationError("profile=True requires with_timing=True")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if resume and journal is None:
         raise ConfigurationError("resume=True requires a journal path")
     if (jobs > 1 or journal is not None or sample_cache is not None
             or events is not None or dispatch is not None):
-        from ..sched.scheduler import run_scheduled
+        from ..sched.scheduler import harness_pool, run_scheduled
 
-        run, _ = run_scheduled(
-            llm, bench, num_samples=num_samples, temperature=temperature,
-            with_timing=with_timing, runner=runner, seed=seed, jobs=jobs,
-            journal_path=journal, resume=resume,
-            sample_cache_dir=sample_cache, emit=events, progress=progress,
-            profile=profile,
-            dispatch=dispatch if dispatch is not None else "lpt")
+        with harness_pool(runner or Runner(), jobs) as pool:
+            run, _ = run_scheduled(
+                llm, bench, pool, num_samples=num_samples,
+                temperature=temperature, with_timing=with_timing,
+                seed=seed, journal_path=journal, resume=resume,
+                sample_cache_dir=sample_cache, emit=events,
+                progress=progress, profile=profile,
+                dispatch=dispatch if dispatch is not None else "lpt")
         return run
     from ..sched.plan import assemble, build_plan
     from ..sched.worker import execute_task
@@ -291,19 +295,24 @@ class EvalCache:
         seed: int = 1,
         tag: str = "full",
         runner: Optional[Runner] = None,
-        jobs: int = 1,
+        pool: Optional[WorkerPool] = None,
         resume: bool = False,
         events: Optional[Callable[[object], None]] = None,
         profile: bool = False,
     ) -> EvalRun:
-        """Load a cached run, or compute (serially, or on the scheduler
-        with ``jobs>1``) and cache it.
+        """Load a cached run, or compute (serially with ``runner``, or on
+        the scheduler with ``pool``) and cache it.
 
-        Version-mismatched or corrupt cache files are treated as misses
-        and regenerated.  Scheduled runs journal under the cache root, so
-        ``resume=True`` continues an interrupted pass; the journal is
-        discarded once the full run is persisted.
+        ``pool`` is a :func:`repro.sched.scheduler.harness_pool` its
+        caller owns, so many calls share one set of workers; its runner
+        judges the samples.  Version-mismatched or corrupt cache files
+        are treated as misses and regenerated.  Scheduled runs journal
+        under the cache root, so ``resume=True`` (which needs ``pool``)
+        continues an interrupted pass; the journal is discarded once the
+        full run is persisted.
         """
+        if resume and pool is None:
+            raise ConfigurationError("resume=True requires a pool")
         num_samples = effective_samples(num_samples)
         path = self._path(llm.name, num_samples, temperature, with_timing,
                           seed, tag, profile=profile)
@@ -312,15 +321,16 @@ class EvalCache:
                 return EvalRun.from_json(path.read_text())
             except CacheFormatError:
                 path.unlink(missing_ok=True)    # stale format: regenerate
-        if jobs > 1 or resume:
+        if pool is not None:
             from ..sched.journal import journal_path_for
+            from ..sched.scheduler import run_scheduled
 
             journal = journal_path_for(self.root, llm.name, num_samples,
                                        temperature, with_timing, seed, tag)
-            run = evaluate_model(
-                llm, bench, num_samples, temperature, with_timing, runner,
-                seed, jobs=jobs, journal=str(journal), resume=resume,
-                sample_cache=str(self.root / "samples"), events=events,
+            run, _ = run_scheduled(
+                llm, bench, pool, num_samples, temperature, with_timing,
+                seed, journal_path=journal, resume=resume,
+                sample_cache_dir=self.root / "samples", emit=events,
                 profile=profile)
             path.write_text(run.to_json())
             journal.unlink(missing_ok=True)     # checkpoint superseded

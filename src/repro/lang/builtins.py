@@ -93,10 +93,6 @@ def get(name: str) -> Optional[BuiltinSig]:
     return _REGISTRY.get(name)
 
 
-def all_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
 def names_in_category(category: str) -> List[str]:
     return sorted(n for n, s in _REGISTRY.items() if s.category == category)
 

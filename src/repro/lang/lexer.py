@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from .errors import LexError
-from .tokens import KEYWORDS, ONE_CHAR, TWO_CHAR, TokKind, Token
+from .tokens import ONE_CHAR, TWO_CHAR, TokKind, Token
 
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | frozenset("0123456789")
@@ -139,8 +139,3 @@ class Lexer:
 def lex(source: str) -> List[Token]:
     """Tokenize ``source``; raise :class:`LexError` on malformed input."""
     return Lexer(source).tokens()
-
-
-def is_keyword(tok: Token) -> bool:
-    """True if a NAME token spells a reserved word."""
-    return tok.kind is TokKind.NAME and tok.text in KEYWORDS

@@ -97,15 +97,6 @@ def type_from_name(name: str) -> Optional[Type]:
     return _BY_NAME.get(name)
 
 
-def array_of(elem: ScalarType, ndim: int = 1) -> ArrayType:
-    """The (interned when possible) array type with the given element."""
-    key = f"array<{elem}>" if ndim == 1 else f"array2d<{elem}>"
-    existing = _BY_NAME.get(key)
-    if isinstance(existing, ArrayType):
-        return existing
-    return ArrayType(elem, ndim)
-
-
 def is_numeric(t: Type) -> bool:
     return t is INT or t is FLOAT
 

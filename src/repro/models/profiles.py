@@ -24,7 +24,7 @@ most MPI-efficient).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 #: Model-card metadata (Table 2).  HumanEval/MBPP pass@1 are the numbers
 #: the paper cites; "—" entries in the paper are None here.
@@ -161,7 +161,3 @@ PROFILES: Dict[str, ModelProfile] = {
 
 def profile(name: str) -> ModelProfile:
     return PROFILES[name]
-
-
-def all_profiles() -> Tuple[ModelProfile, ...]:
-    return tuple(PROFILES[m] for m in MODEL_ORDER)

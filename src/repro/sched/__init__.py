@@ -8,8 +8,10 @@ deduplicates identical generated sources through a content-addressed
 sample cache.  See ``docs/scheduler.md``.
 
 The public entry points most callers want are ``evaluate_model(...,
-jobs=N)`` / ``EvalCache.get_or_run(..., jobs=N, resume=True)`` in
-:mod:`repro.harness`; this package is the machinery underneath.
+jobs=N)`` / ``EvalCache.get_or_run(..., pool=pool, resume=True)`` in
+:mod:`repro.harness`, the latter on a pool from
+:func:`repro.sched.scheduler.harness_pool`; this package is the
+machinery underneath.
 """
 
 from .events import (

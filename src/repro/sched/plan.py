@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bench.registry import PCGBench
-from ..harness.evaluate import EvalRun, PromptRecord, SampleRecord
+from ..harness.evaluate import (ConfigurationError, EvalRun, PromptRecord,
+                                SampleRecord)
 from ..harness.runner import Runner
 from ..models.llm import SimulatedLLM
 
@@ -159,15 +160,13 @@ class Plan:
         }, sort_keys=True)
         return hashlib.sha256(desc.encode()).hexdigest()[:24]
 
-    def ordered_task_ids(self) -> List[str]:
-        """Unique task ids in first-use (deterministic) order."""
-        return list(self.tasks)
-
 
 def build_plan(llm: SimulatedLLM, bench: PCGBench, num_samples: int,
                temperature: float, with_timing: bool, runner: Runner,
                seed: int, profile: bool = False) -> Plan:
     """Expand the evaluation into slots and deduplicated tasks."""
+    if profile and not with_timing:
+        raise ConfigurationError("profile=True requires with_timing=True")
     fingerprint = runner_fingerprint(runner)
     ptypes, models = bench_spec(bench)
     plan = Plan(llm=llm.name, temperature=temperature,

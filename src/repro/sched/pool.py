@@ -33,16 +33,15 @@ Results are reported through ``on_result`` *before* the corresponding
 (:class:`SchedulerAbort`) is guaranteed the journal already holds every
 task it was told about.
 
-Lifetime: :meth:`WorkerPool.run` on a pool that was never started forks
-its workers, runs, and stops them again (one-shot).  After
-:meth:`WorkerPool.start` the workers outlive each ``run()`` call until
-:meth:`WorkerPool.close`, so a caller that runs many task sets (the
-service, one per batch) forks and initialises them once.  Retries,
-deadlines, quarantine and the crash budget are per run; if a worker
-died between runs, the next run starts on fresh workers and queues; any
-exception out of ``run()`` closes the workers, so the next ``run()``
-starts on fresh ones.  Messages about a task the current run did not
-dispatch (a late copy from an earlier run) are dropped.
+Lifetime: the caller owns the pool, best in a ``with`` block.  The
+first :meth:`WorkerPool.run` with work forks the workers; they serve
+every later run until :meth:`WorkerPool.close` (the block's end), so
+many task sets share one fork and a caller with no task forks nothing.
+Retries, deadlines, quarantine and the crash budget are per run; if a
+worker died between runs, the next run starts on fresh workers and
+queues; any exception out of ``run()`` closes the workers, so the next
+``run()`` starts on fresh ones.  Messages about a task the current run
+did not dispatch (a late copy from an earlier run) are dropped.
 
 Workers poll their parent pid while idle: if the whole scheduler process
 is SIGKILLed (``repro.guard.supervisor``), the orphaned workers notice
@@ -164,7 +163,8 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
     process vanished (a whole-process SIGKILL reparents the worker; an
     orphan must not sit on ``task_q.get()`` forever).
     """
-    parent_pid = os.getppid()
+    # the forking parent's pid; getppid() may already name the reaper
+    parent_pid = mp.parent_process().pid
     try:
         ctx = init_fn(*init_args) if init_fn is not None else init_args
     except BaseException as exc:  # noqa: BLE001 - must never escape
@@ -212,7 +212,6 @@ class WorkerPool:
                  task_timeout: Optional[float] = 300.0,
                  max_retries: int = 2,
                  queue_bound: Optional[int] = None,
-                 emit: Optional[EmitFn] = None,
                  max_crashes: Optional[int] = None,
                  validate: Optional[Callable[[dict, object], bool]] = None,
                  guard: Optional[GuardPolicy] = None,
@@ -231,7 +230,6 @@ class WorkerPool:
         #: up to the retry budget, never reported to ``on_result``
         self.validate = validate
         self.queue_bound = queue_bound or max(2 * jobs, 4)
-        self.emit = emit or (lambda event: None)
         self.max_crashes = max_crashes if max_crashes is not None \
             else 4 * jobs + 4
         #: supervision policy (poison-task quarantine); defaults on
@@ -256,7 +254,7 @@ class WorkerPool:
 
     def start(self) -> "WorkerPool":
         """Fork the workers and keep them across :meth:`run` calls until
-        :meth:`close`.
+        :meth:`close`; :meth:`run` calls this itself.
 
         On a started pool with a dead worker this starts over on fresh
         workers and a fresh task queue: a worker killed while it read a
@@ -273,7 +271,7 @@ class WorkerPool:
         return self
 
     def close(self) -> None:
-        """Stop every worker; a later :meth:`start` forks fresh ones."""
+        """Stop every worker; a later :meth:`run` forks fresh ones."""
         if self._task_q is None:
             return
         procs, task_q, conns = self._procs, self._task_q, self._conns
@@ -297,6 +295,12 @@ class WorkerPool:
         task_q.close()
         for conn in conns.values():
             conn.close()
+
+    def __enter__(self) -> "WorkerPool":
+        return self                     # the first run with work forks
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _spawn(self) -> int:
         """Fork one worker under the next id, with its own result pipe;
@@ -342,29 +346,23 @@ class WorkerPool:
         predicted-vs-actual error is observable.  ``on_drain`` fires
         once per drain cycle — when every result pipe goes momentarily
         quiet — and is the journal's group-commit hook.  ``emit``
-        replaces the pool's event sink for this run.
+        receives the run's events.
 
-        A pool that was not started runs one-shot: it forks its workers
-        here and stops them before returning.  Any exception out of the
+        A run with work starts the pool (:meth:`start`) if it is not
+        running; the workers outlive the run.  Any exception out of the
         run loop closes the workers before it propagates.
         """
         payloads: Dict[str, dict] = dict(tasks)
         if not payloads:
             return {}, {}
-        owned = not self.started
         self.start()
         try:
-            out = self._run(payloads, on_result, progress_total,
-                            predictions or {}, on_drain,
-                            emit or self.emit)
+            return self._run(payloads, on_result, progress_total,
+                             predictions or {}, on_drain,
+                             emit or (lambda event: None))
         except BaseException:
             self.close()
             raise
-        if owned:
-            self.close()
-        else:
-            _discard_queued(self._task_q)   # leftovers of this run
-        return out
 
     def _run(self, payloads: Dict[str, dict],
              on_result: Optional[Callable[[str, dict], None]],
@@ -592,6 +590,7 @@ class WorkerPool:
                     if not settled(tid):
                         retries.append(tid)
                 last_message = now
+        _discard_queued(task_q)         # leftovers of this run
         return results, failures
 
 

@@ -3,9 +3,9 @@
 
 :func:`execute_tasks` is the one task-set executor: cache hits, then a
 worker pool with journal-then-notify persistence and a write-behind
-sample cache.  ``run_scheduled`` drives it on a one-shot pool; the
-service (:mod:`repro.serve.service`) on one pool that serves every
-batch.
+sample cache.  ``run_scheduled`` drives it on the :func:`harness_pool`
+its caller owns; the service (:mod:`repro.serve.service`) on one pool
+that serves every batch.
 
 ``run_scheduled`` runs the same plan as the in-process ``jobs=1`` path
 of :func:`repro.harness.evaluate.evaluate_model`, on a worker pool with
@@ -86,16 +86,16 @@ def replay_journal(journal: Journal, run_key: str,
 
 
 def harness_pool(runner: Runner, jobs: int,
-                 task_timeout: Optional[float] = 300.0,
-                 max_retries: int = 2) -> WorkerPool:
-    """A pool of ``jobs`` harness workers, not yet started: run it once,
-    or :meth:`~repro.sched.pool.WorkerPool.start` it to serve many task
-    sets on the same workers."""
+                 task_timeout: Optional[float] = 300.0) -> WorkerPool:
+    """A pool of ``jobs`` harness workers that judge with ``runner``.
+
+    The caller owns it, best in a ``with`` block: the first run with work
+    forks the workers, and they serve every task set run on the pool
+    until the block ends."""
     return WorkerPool(
         jobs=jobs, work_fn=execute_task, init_fn=init_harness,
         init_args=(runner,), task_timeout=task_timeout,
-        max_retries=max_retries, validate=valid_result,
-        quarantine=quarantine_payload)
+        validate=valid_result, quarantine=quarantine_payload)
 
 
 class _CacheWriter:
@@ -204,25 +204,25 @@ def execute_tasks(tasks: Dict[str, TaskSpec], results: Dict[str, dict],
 def run_scheduled(
     llm: SimulatedLLM,
     bench: PCGBench,
+    pool: WorkerPool,
     num_samples: int = 8,
     temperature: float = 0.2,
     with_timing: bool = False,
-    runner: Optional[Runner] = None,
     seed: int = 1,
-    jobs: int = 1,
     journal_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     sample_cache_dir: Optional[Union[str, Path]] = None,
     emit: Optional[EmitFn] = None,
     progress: Optional[Callable[[str], None]] = None,
-    task_timeout: Optional[float] = 300.0,
-    max_retries: int = 2,
     profile: bool = False,
     dispatch: str = DISPATCH_LPT,
     ledger_path: Optional[Union[str, Path]] = None,
 ) -> Tuple[EvalRun, Telemetry]:
     """Run the §7 pipeline through the scheduler; returns (run, telemetry).
 
+    The tasks run on ``pool``, a :func:`harness_pool` the caller owns and
+    closes; planning uses the pool's runner, so task ids (which carry
+    the runner fingerprint) always name the runner that judged them.
     With ``journal_path`` set, every finished task is checkpointed and a
     later call with ``resume=True`` replays finished work instead of
     recomputing it.  With ``sample_cache_dir`` set, results are also
@@ -240,7 +240,7 @@ def run_scheduled(
     every policy yields byte-identical output.
     """
     order_tasks((), dispatch)           # reject bad policy before any work
-    runner = runner or Runner()
+    runner: Runner = pool.init_args[0]
     num_samples = effective_samples(num_samples)
     telemetry = Telemetry()
     began = time.monotonic()
@@ -276,9 +276,7 @@ def run_scheduled(
                 replay_journal(journal, run_key, plan.tasks, results, sink)
             journal.start(run_key, fresh=not resume)
         failures = execute_tasks(
-            plan.tasks, results,
-            harness_pool(runner, jobs, task_timeout, max_retries), sink,
-            journal=journal,
+            plan.tasks, results, pool, sink, journal=journal,
             cache=(SampleCache(sample_cache_dir)
                    if sample_cache_dir is not None else None),
             dispatch=dispatch, predictions=predictions,

@@ -208,7 +208,7 @@ class EvalService:
     """Async batched evaluation service over one long-lived worker pool.
 
     The pool has ``shards`` x ``jobs_per_shard`` worker processes, forked
-    at the first batch and stopped by :meth:`shutdown`."""
+    by the first batch that runs a task and stopped by :meth:`shutdown`."""
 
     def __init__(self,
                  workdir: Path,
@@ -218,8 +218,6 @@ class EvalService:
                  max_queue: int = 64,
                  max_batch: int = 16,
                  sample_cache: bool = True,
-                 task_timeout: Optional[float] = 120.0,
-                 max_retries: int = 2,
                  retry_after_cap: float = 60.0):
         if shards < 1 or jobs_per_shard < 1:
             raise ValueError("shards and jobs_per_shard must be >= 1")
@@ -252,10 +250,8 @@ class EvalService:
         self._gate.set()
         self._loop_task: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        #: every batch runs on this pool; started by the first batch
-        self._pool = harness_pool(self.runner, self.jobs,
-                                  task_timeout=task_timeout,
-                                  max_retries=max_retries)
+        #: every batch runs on this pool; the first task run forks it
+        self._pool = harness_pool(self.runner, self.jobs, task_timeout=120.0)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -458,7 +454,6 @@ class EvalService:
                     replay_journal(journal, key, union, results, sink)
                 journal.start(key, fresh=(attempt == 0))
                 try:
-                    self._pool.start()
                     failures = execute_tasks(
                         union, results, self._pool,
                         chain(sink, _death_probe), journal=journal,

@@ -34,12 +34,12 @@ class TestQuarantine:
     def test_poison_task_is_quarantined_not_failed(self):
         tel = Telemetry()
         tel.keep_events = True
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=5,
-                          quarantine=_quarantine, emit=tel)
         tasks = _ok_tasks(4) + [("doom", {"kind": "sample",
                                           "action": "crash"})]
-        results, failures = pool.run(tasks)
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=5,
+                        quarantine=_quarantine) as pool:
+            results, failures = pool.run(tasks, emit=tel)
         assert failures == {}
         assert results["doom"]["status"] == "quarantined"
         assert "poison task" in results["doom"]["detail"]
@@ -53,31 +53,32 @@ class TestQuarantine:
         """The ledger pulls the task after ``poison_threshold`` distinct
         worker deaths — the retry budget never burns further workers."""
         tel = Telemetry()
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=10,
-                          guard=GuardPolicy(poison_threshold=3),
-                          quarantine=_quarantine, emit=tel)
-        results, _ = pool.run([("doom", {"kind": "sample",
-                                         "action": "crash"})])
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=10,
+                        guard=GuardPolicy(poison_threshold=3),
+                        quarantine=_quarantine) as pool:
+            results, _ = pool.run([("doom", {"kind": "sample",
+                                             "action": "crash"})],
+                                  emit=tel)
         assert results["doom"]["status"] == "quarantined"
         assert tel.crashes == 3
 
     def test_quarantine_off_burns_the_retry_budget(self):
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=3,
-                          guard=GuardPolicy(quarantine=False),
-                          quarantine=_quarantine)
-        results, failures = pool.run([("doom", {"kind": "sample",
-                                                "action": "crash"})])
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=3,
+                        guard=GuardPolicy(quarantine=False),
+                        quarantine=_quarantine) as pool:
+            results, failures = pool.run([("doom", {"kind": "sample",
+                                                    "action": "crash"})])
         assert results == {}
         assert "doom" in failures
 
     def test_no_factory_fails_fast_with_poison_detail(self):
         """Without a payload factory the task still short-circuits into
         the failure lane, carrying the poison fingerprint."""
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=10)
-        results, failures = pool.run([("doom", {"kind": "sample",
-                                                "action": "crash"})])
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=10) as pool:
+            results, failures = pool.run([("doom", {"kind": "sample",
+                                                    "action": "crash"})])
         assert results == {}
         assert "poison task" in failures["doom"]

@@ -7,6 +7,7 @@ to the running scheduler (no atexit, no flushes), with orphaned pool
 workers left to notice the reparenting on their own.
 """
 
+import multiprocessing as mp
 import os
 import signal
 import time
@@ -15,7 +16,9 @@ import pytest
 
 from repro.bench import PCGBench
 from repro.guard import crash_resume_sweep, run_supervised, supervisor
+from repro.harness import Runner
 from repro.models import load_model
+from repro.sched.scheduler import harness_pool
 
 #: the smallest slice that still exercises the pool: one problem type,
 #: one execution model, two samples
@@ -53,6 +56,22 @@ class TestRunSupervised:
                                 kill_at=clean.events + 1000, **KW)
         assert result.restarts == 0
         assert result.digest == clean.digest
+
+    def test_a_pool_the_caller_holds_stays_out_of_the_child(self, slice_,
+                                                            tmp_path):
+        """The child builds its own pool; the caller's live workers are
+        neither used nor joined by the fork, and no process outlives the
+        supervised run."""
+        llm, bench = slice_
+        clean = run_supervised(llm, bench, workdir=tmp_path / "c", **KW)
+        with harness_pool(Runner(), 2) as pool:
+            pool.start()
+            before = set(mp.active_children())
+            held = run_supervised(llm, bench, workdir=tmp_path / "h", **KW)
+            assert set(mp.active_children()) == before
+            assert pool.run([("ok", {"kind": "baseline",
+                                     "problem": "sum_of_elements"})])[0]
+        assert held.digest == clean.digest and held.json == clean.json
 
 
 class TestEveryBoundary:

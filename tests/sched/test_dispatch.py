@@ -17,9 +17,9 @@ from repro import evaluate_model, load_model
 from repro.analysis import to_csv
 from repro.analysis.export import profile_csv
 from repro.bench.registry import PCGBench as Registry
-from repro.harness import ConfigurationError
+from repro.harness import ConfigurationError, Runner
 from repro.sched import DISPATCH_POLICIES, scheduler
-from repro.sched.scheduler import run_scheduled
+from repro.sched.scheduler import harness_pool, run_scheduled
 
 ALL_MODELS = ["serial", "openmp", "kokkos", "mpi", "mpi+omp", "cuda", "hip"]
 
@@ -80,14 +80,15 @@ class TestWarmLedger:
         bench = Registry(problem_types=["transform"],
                          models=["serial", "openmp"])
         llm = load_model("GPT-3.5")
-        kwargs = dict(num_samples=2, temperature=0.2, seed=7, jobs=2,
+        kwargs = dict(num_samples=2, temperature=0.2, seed=7,
                       ledger_path=tmp_path / "durations.jsonl")
-        cold_run, cold_tel = run_scheduled(llm, bench, **kwargs)
+        with harness_pool(Runner(), 2) as pool:
+            cold_run, cold_tel = run_scheduled(llm, bench, pool, **kwargs)
+            warm_run, warm_tel = run_scheduled(llm, bench, pool, **kwargs)
         # first run: every key is cold, predictions are estimator-ranked
         assert cold_tel.ledger_predictions == 0
         assert cold_tel.estimator_predictions > 0
         assert cold_tel.pred_samples == 0        # estimator units: no MAE
-        warm_run, warm_tel = run_scheduled(llm, bench, **kwargs)
         # second run: same feature keys, now served from observed history
         assert warm_tel.ledger_predictions > 0
         assert warm_tel.ledger_hit_rate() == pytest.approx(1.0)
@@ -99,13 +100,14 @@ class TestWarmLedger:
     def test_ledger_file_is_created_and_grows(self, tmp_path):
         bench = Registry(problem_types=["transform"], models=["serial"])
         path = tmp_path / "durations.jsonl"
-        run_scheduled(load_model("GPT-3.5"), bench, num_samples=2,
-                      temperature=0.2, seed=7, jobs=2, ledger_path=path)
-        assert path.exists()
-        first = path.stat().st_size
-        assert first > 0
-        run_scheduled(load_model("GPT-3.5"), bench, num_samples=2,
-                      temperature=0.2, seed=7, jobs=2, ledger_path=path)
+        kwargs = dict(num_samples=2, temperature=0.2, seed=7,
+                      ledger_path=path)
+        with harness_pool(Runner(), 2) as pool:
+            run_scheduled(load_model("GPT-3.5"), bench, pool, **kwargs)
+            assert path.exists()
+            first = path.stat().st_size
+            assert first > 0
+            run_scheduled(load_model("GPT-3.5"), bench, pool, **kwargs)
         assert path.stat().st_size > first       # merged, not truncated
 
 

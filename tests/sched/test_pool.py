@@ -62,17 +62,17 @@ def _ok_tasks(n):
 
 class TestHappyPath:
     def test_all_tasks_complete(self):
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",))
-        results, failures = pool.run(_ok_tasks(20))
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",)) as pool:
+            results, failures = pool.run(_ok_tasks(20))
         assert failures == {}
         assert results["ok7"] == {"v": 14}
         assert len(results) == 20
 
     def test_single_worker(self):
-        pool = WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
-                          init_args=("t",))
-        results, failures = pool.run(_ok_tasks(5))
+        with WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
+                        init_args=("t",)) as pool:
+            results, failures = pool.run(_ok_tasks(5))
         assert len(results) == 5 and not failures
 
     def test_jobs_validation(self):
@@ -80,18 +80,18 @@ class TestHappyPath:
             WorkerPool(jobs=0, work_fn=_work)
 
     def test_empty_task_list(self):
-        pool = WorkerPool(jobs=2, work_fn=_work)
-        assert pool.run([]) == ({}, {})
+        with WorkerPool(jobs=2, work_fn=_work) as pool:
+            assert pool.run([]) == ({}, {})
 
 
 class TestFaults:
     def test_raising_task_fails_without_killing_run(self):
         tel = Telemetry()
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=1, emit=tel)
         tasks = _ok_tasks(6) + [("bad", {"kind": "sample",
                                          "action": "raise"})]
-        results, failures = pool.run(tasks)
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=1) as pool:
+            results, failures = pool.run(tasks, emit=tel)
         assert len(results) == 6
         assert "boom" in failures["bad"]
         assert tel.provenance["bad"] == SOURCE_FAILED
@@ -99,13 +99,13 @@ class TestFaults:
     def test_worker_crash_is_requeued_and_recovers(self, tmp_path):
         tel = Telemetry()
         tel.keep_events = True
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=2, emit=tel)
         marker = tmp_path / "crashed"
         tasks = _ok_tasks(6) + [
             ("lazarus", {"kind": "sample", "action": "crash_once",
                          "marker": str(marker)})]
-        results, failures = pool.run(tasks)
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=2) as pool:
+            results, failures = pool.run(tasks, emit=tel)
         assert failures == {}
         assert results["lazarus"] == {"v": "recovered"}
         assert tel.crashes >= 1
@@ -139,6 +139,7 @@ class TestFaults:
         assert len(idle) == 1
         os.kill(idle[0], signal.SIGKILL)
         runner.join(timeout=20.0)
+        pool.close()
         assert not runner.is_alive(), "run stalled after an idle kill"
         assert out["failures"] == {}
         assert out["results"]["after"] == {"v": 10}
@@ -192,6 +193,7 @@ class TestFaults:
             for proc in list(pool._procs.values()):
                 proc.terminate()    # spend the crash budget to end it
             runner.join(timeout=0.5)
+        pool.close()
         assert not stalled, "run stalled behind a worker dead on the channel"
         assert out["failures"] == {}
         assert out["results"]["victim"] == {"v": "recovered"}
@@ -221,13 +223,13 @@ class TestFaults:
         monkeypatch.setattr(pool_mod, "_worker_main", dying_main)
         tel = Telemetry()
         tel.keep_events = True
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=0, emit=tel)
         # the slow task keeps the run open until the death is seen
         tasks = [("last", {"kind": "sample", "action": "ok", "v": 4}),
                  ("slow", {"kind": "sample", "action": "mark_then_sleep",
                            "marker": str(tmp_path / "slow"), "s": 1.0})]
-        results, failures = pool.run(tasks)
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=0) as pool:
+            results, failures = pool.run(tasks, emit=tel)
         assert failures == {}
         assert results["last"] == {"v": 8}
         assert tel.crashes == 1
@@ -254,32 +256,33 @@ class TestFaults:
             real_main(wid, init_fn, init_args, work, task_q, conn)
 
         monkeypatch.setattr(pool_mod, "_worker_main", dying_main)
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=1)
         began = time.monotonic()
-        results, failures = pool.run(
-            [("torn", {"kind": "sample", "action": "tear"})]
-            + _ok_tasks(4))
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=1) as pool:
+            results, failures = pool.run(
+                [("torn", {"kind": "sample", "action": "tear"})]
+                + _ok_tasks(4))
         assert failures == {}
         assert results["torn"] == {"v": "recovered"}
         assert time.monotonic() - began < 20.0
 
     def test_always_crashing_task_exhausts_budget(self):
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=1)
         tasks = _ok_tasks(4) + [("doom", {"kind": "sample",
                                           "action": "crash"})]
-        results, failures = pool.run(tasks)
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=1) as pool:
+            results, failures = pool.run(tasks)
         assert len(results) == 4
         assert "doom" in failures
 
     def test_hang_is_detected_and_contained(self):
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), task_timeout=1.0, max_retries=0)
         tasks = _ok_tasks(4) + [("stuck", {"kind": "sample",
                                            "action": "hang"})]
         began = time.monotonic()
-        results, failures = pool.run(tasks)
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), task_timeout=1.0,
+                        max_retries=0) as pool:
+            results, failures = pool.run(tasks)
         assert len(results) == 4
         assert "timeout" in failures["stuck"]
         # the hang cost ~task_timeout, not the full 120s sleep
@@ -291,11 +294,12 @@ class TestFaults:
         telemetry counts it, and the detail says so."""
         tel = Telemetry()
         tel.keep_events = True
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), task_timeout=1.0, max_retries=0,
-                          emit=tel)
-        _, failures = pool.run([("stuck", {"kind": "sample",
-                                           "action": "hang"})])
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), task_timeout=1.0,
+                        max_retries=0) as pool:
+            _, failures = pool.run([("stuck", {"kind": "sample",
+                                               "action": "hang"})],
+                                   emit=tel)
         assert "infrastructure" in failures["stuck"]
         assert tel.infra_timeouts == 1
         kinds = [e.kind for e in tel.events if isinstance(e, WorkerCrashed)]
@@ -303,10 +307,11 @@ class TestFaults:
 
     def test_exhausted_task_reports_system_error_status(self):
         tel = Telemetry()
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=0, emit=tel)
-        _, failures = pool.run([("bad", {"kind": "sample",
-                                         "action": "raise"})])
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=0) as pool:
+            _, failures = pool.run([("bad", {"kind": "sample",
+                                             "action": "raise"})],
+                                   emit=tel)
         assert "bad" in failures
         # the infra lane, never a model-blaming status
         assert tel.statuses.get("system_error") == 1
@@ -320,14 +325,15 @@ class TestRetryOrdering:
         completion order is fully determined: the flaky task (submitted
         first, failed once) completes *after* every fresh task."""
         order = []
-        pool = WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=2, queue_bound=1)
         tasks = [("flaky", {"kind": "sample", "action": "raise_once",
                             "marker": str(tmp_path / "flaky.marker")}),
                  ("a", {"kind": "sample", "action": "ok", "v": 1}),
                  ("b", {"kind": "sample", "action": "ok", "v": 2})]
-        results, failures = pool.run(
-            tasks, on_result=lambda tid, res: order.append(tid))
+        with WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=2,
+                        queue_bound=1) as pool:
+            results, failures = pool.run(
+                tasks, on_result=lambda tid, res: order.append(tid))
         assert failures == {}
         assert results["flaky"] == {"v": "recovered"}
         assert order == ["a", "b", "flaky"]
@@ -335,15 +341,16 @@ class TestRetryOrdering:
     def test_ordering_is_reproducible(self, tmp_path):
         def drive(tag):
             order = []
-            pool = WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
-                              init_args=("t",), max_retries=2,
-                              queue_bound=1)
             marker = tmp_path / f"{tag}.marker"
             tasks = [("flaky", {"kind": "sample", "action": "raise_once",
                                 "marker": str(marker)})] \
                 + [(f"fresh{i}", {"kind": "sample", "action": "ok",
                                   "v": i}) for i in range(4)]
-            pool.run(tasks, on_result=lambda tid, res: order.append(tid))
+            with WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
+                            init_args=("t",), max_retries=2,
+                            queue_bound=1) as pool:
+                pool.run(tasks,
+                         on_result=lambda tid, res: order.append(tid))
             return order
 
         assert drive("one") == drive("two") \
@@ -357,12 +364,13 @@ class TestInjectedSchedFaults:
         plan = FaultPlan(rules=(
             FaultRule(point="sched.worker.kill", action="kill",
                       match="victim#a0"),))
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=2, emit=tel)
         tasks = _ok_tasks(4) + [("victim", {"kind": "sample",
                                             "action": "ok", "v": 21})]
-        with injector(plan):
-            results, failures = pool.run(tasks)
+        # the workers fork inside the injector, so they see its plan
+        with injector(plan), WorkerPool(jobs=2, work_fn=_work,
+                                        init_fn=_init, init_args=("t",),
+                                        max_retries=2) as pool:
+            results, failures = pool.run(tasks, emit=tel)
         assert failures == {}
         assert results["victim"] == {"v": 42}
         assert any(isinstance(e, WorkerCrashed) for e in tel.events)
@@ -371,19 +379,19 @@ class TestInjectedSchedFaults:
         plan = FaultPlan(rules=(
             FaultRule(point="sched.result.corrupt", action="corrupt",
                       match="ok3"),))
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=2,
-                          validate=lambda p, b: "__corrupted__" not in b)
-        with injector(plan):
+        with injector(plan), WorkerPool(
+                jobs=2, work_fn=_work, init_fn=_init, init_args=("t",),
+                max_retries=2,
+                validate=lambda p, b: "__corrupted__" not in b) as pool:
             results, failures = pool.run(_ok_tasks(6))
         assert failures == {}
         assert results["ok3"] == {"v": 6}
 
     def test_validation_failure_exhausts_retries(self):
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), max_retries=1,
-                          validate=lambda p, b: False)
-        results, failures = pool.run(_ok_tasks(2))
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",), max_retries=1,
+                        validate=lambda p, b: False) as pool:
+            results, failures = pool.run(_ok_tasks(2))
         assert results == {}
         assert all("validation" in d for d in failures.values())
 
@@ -439,9 +447,9 @@ class TestLongLivedPool:
         tel = Telemetry()
         tel.keep_events = True
         pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), emit=tel).start()
+                          init_args=("t",)).start()
         try:
-            pool.run(_ok_tasks(3))
+            pool.run(_ok_tasks(3), emit=tel)
             # late messages from the first run, read by the second
             late, writer = mp.Pipe(duplex=False)
             pool._conns[-1] = late
@@ -451,7 +459,7 @@ class TestLongLivedPool:
             writer.close()
             results, failures = pool.run(
                 [(f"new{i}", {"kind": "sample", "action": "ok", "v": i})
-                 for i in range(4)])
+                 for i in range(4)], emit=tel)
         finally:
             pool.close()
         assert failures == {}
@@ -488,10 +496,28 @@ class TestLongLivedPool:
         assert set(mp.active_children()) == before
         pool.close()                    # idempotent
 
-    def test_one_shot_run_leaves_no_workers(self):
+    def test_with_block_forks_at_the_first_run_and_stops_at_its_end(self):
         before = set(mp.active_children())
-        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",))
-        pool.run(_ok_tasks(4))
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",)) as pool:
+            assert set(mp.active_children()) == before
+            assert pool.run([]) == ({}, {})     # no work forks nothing
+            assert not pool.started
+            pool.run(_ok_tasks(4))
+            workers = set(mp.active_children()) - before
+            assert len(workers) == 2
+            pool.run(_ok_tasks(4))              # the workers outlive a run
+            assert set(mp.active_children()) - before == workers
+        assert not pool.started
+        assert set(mp.active_children()) == before
+
+    def test_leaving_the_with_block_on_an_exception_stops_the_workers(self):
+        before = set(mp.active_children())
+        with pytest.raises(KeyError, match="caller failed"):
+            with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                            init_args=("t",)) as pool:
+                pool.run(_ok_tasks(4))
+                assert len(set(mp.active_children()) - before) == 2
+                raise KeyError("caller failed")
         assert not pool.started
         assert set(mp.active_children()) == before

@@ -2,20 +2,23 @@
 acceptance criteria, cross-run caching, and the EvalCache/CLI wiring."""
 
 import json
+import multiprocessing as mp
 
 import pytest
 
 from repro.bench import PCGBench
 from repro.faults import FaultPlan, FaultRule, injector
-from repro.harness import ConfigurationError, EvalCache, evaluate_model
+from repro.harness import ConfigurationError, EvalCache, Runner, evaluate_model
 from repro.models import load_model
 from repro.sched import (
     SOURCE_EXECUTED,
     SchedulerAbort,
     TaskFinished,
     Telemetry,
+    WorkerPool,
     run_scheduled,
 )
+from repro.sched.scheduler import harness_pool
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +252,9 @@ class TestSampleCache:
 class TestTelemetry:
     def test_stage_and_status_accounting(self, llm, bench):
         telemetry = Telemetry()
-        run, returned = run_scheduled(llm, bench, num_samples=2, seed=3,
-                                      jobs=2, emit=telemetry)
+        with harness_pool(Runner(), 2) as pool:
+            run, returned = run_scheduled(llm, bench, pool, num_samples=2,
+                                          seed=3, emit=telemetry)
         assert set(telemetry.stage_seconds) == {"plan", "execute",
                                                 "assemble"}
         assert sum(telemetry.statuses.values()) == telemetry.total
@@ -277,9 +281,10 @@ class TestEvalCacheIntegration:
         sched_cache = EvalCache(cache_dir=str(tmp_path / "b"))
         serial = serial_cache.get_or_run(llm, bench, num_samples=2,
                                          temperature=0.2, seed=5, tag="t")
-        scheduled = sched_cache.get_or_run(llm, bench, num_samples=2,
-                                           temperature=0.2, seed=5, tag="t",
-                                           jobs=2)
+        with harness_pool(Runner(), 2) as pool:
+            scheduled = sched_cache.get_or_run(llm, bench, num_samples=2,
+                                               temperature=0.2, seed=5,
+                                               tag="t", pool=pool)
         assert scheduled.to_json() == serial.to_json()
         # the journal is superseded by the cache file and removed
         assert not list((tmp_path / "b" / "journal").glob("*"))
@@ -288,9 +293,78 @@ class TestEvalCacheIntegration:
         # second call is a pure cache hit
         again = sched_cache.get_or_run(llm, bench, num_samples=2,
                                        temperature=0.2, seed=5, tag="t",
-                                       jobs=2)
+                                       pool=pool)
         assert again.to_json() == scheduled.to_json()
 
     def test_invalid_jobs_rejected(self, llm, bench):
         with pytest.raises(ConfigurationError):
             evaluate_model(llm, bench, num_samples=2, jobs=0)
+
+    def test_resume_without_a_pool_is_rejected(self, llm, bench, tmp_path):
+        with pytest.raises(ConfigurationError):
+            EvalCache(cache_dir=str(tmp_path)).get_or_run(
+                llm, bench, num_samples=2, temperature=0.2, resume=True)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Ids of every worker a pool forks while the test runs."""
+    ids = []
+    real_spawn = WorkerPool._spawn
+
+    def counting_spawn(pool):
+        wid = real_spawn(pool)
+        ids.append(wid)
+        return wid
+
+    monkeypatch.setattr(WorkerPool, "_spawn", counting_spawn)
+    return ids
+
+
+class TestCallerOwnedPool:
+    def test_get_or_run_calls_on_one_pool_fork_the_workers_once(
+            self, llm, bench, tmp_path, spawned):
+        serial = EvalCache(cache_dir=str(tmp_path / "serial"))
+        cache = EvalCache(cache_dir=str(tmp_path / "pooled"))
+        kw = dict(num_samples=2, temperature=0.2, tag="t")
+        before = set(mp.active_children())
+        with harness_pool(Runner(), 2) as pool:
+            runs = {seed: cache.get_or_run(llm, bench, seed=seed, pool=pool,
+                                           **kw)
+                    for seed in (3, 4, 5)}
+        assert len(spawned) == 2
+        assert set(mp.active_children()) == before
+        for seed, run in runs.items():
+            assert run.to_json() == serial.get_or_run(
+                llm, bench, seed=seed, **kw).to_json()
+
+    def test_all_cache_hit_call_forks_no_worker(self, llm, bench, tmp_path,
+                                                spawned):
+        kw = dict(num_samples=2, seed=3, jobs=2,
+                  sample_cache=str(tmp_path / "samples"))
+        first = evaluate_model(llm, bench, **kw)
+        forked = len(spawned)
+        assert forked == 2
+        telemetry = Telemetry()
+        again = evaluate_model(llm, bench, events=telemetry, **kw)
+        assert len(spawned) == forked
+        assert telemetry.executed == 0 and telemetry.from_cache > 0
+        assert again.to_json() == first.to_json()
+
+    def test_planning_uses_the_pools_runner(self, llm, bench, monkeypatch):
+        from repro.sched import scheduler
+
+        planned = []
+        real_build_plan = scheduler.build_plan
+
+        def spy_build_plan(*args, **kwargs):
+            planned.append(args[5])     # build_plan's runner argument
+            return real_build_plan(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "build_plan", spy_build_plan)
+        runner = Runner(static_screen=False)
+        with harness_pool(runner, 2) as pool:
+            run, _ = run_scheduled(llm, bench, pool, num_samples=2, seed=3)
+        assert planned == [runner]
+        assert run.to_json() == evaluate_model(
+            llm, bench, num_samples=2, seed=3, runner=runner).to_json()

@@ -79,6 +79,30 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Figure 1" in out and "Figure 3" in out
 
+    def test_parallel_eval_forks_one_pool_for_every_model(
+            self, capsys, tmp_path, monkeypatch):
+        import multiprocessing as mp
+
+        from repro.sched import WorkerPool
+
+        spawned = []
+        real_spawn = WorkerPool._spawn
+
+        def counting_spawn(pool):
+            spawned.append(real_spawn(pool))
+            return spawned[-1]
+
+        monkeypatch.setattr(WorkerPool, "_spawn", counting_spawn)
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        before = set(mp.active_children())
+        assert main([
+            "eval", "--models", "CodeLlama-7B,GPT-3.5",
+            "--ptypes", "transform", "--exec", "serial",
+            "--samples", "2", "--jobs", "2",
+        ]) == 0
+        assert len(spawned) == 2
+        assert set(mp.active_children()) == before
+
 
 class TestProfileCommand:
     def test_reference_solution_cost_tree(self, capsys):
