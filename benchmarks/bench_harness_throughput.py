@@ -7,6 +7,7 @@ These are genuine wall-clock benchmarks (pytest-benchmark's bread and
 butter) and what bounds the cost of a full 420-prompt evaluation pass.
 """
 
+import gc
 import json
 import os
 import time
@@ -185,6 +186,82 @@ def test_vectorize_speedup_meets_baseline():
         # per-case floor: a lowering that stops firing shows up as ~1.0x
         assert speedup >= 1.5, \
             f"{case}: {speedup:.2f}x — did the bulk lowering stop firing?"
+
+
+# -- MPI rank cost: read-only inputs shared across ranks ------------------------
+
+#: MPI samples whose 1-512-rank timing sweep per-rank cost dominates
+_MPI_SWEEP_CASES = ("is_bipartite", "sum_of_squares")
+
+
+def measure_mpi_sweep_speedups(repeats=7):
+    """Per-case wall-clock speedup of the MPI timing sweep
+    (``Runner.measure`` over 1-512 ranks) when ranks share the inputs
+    the kernel never writes, over deep-copying every input for every
+    rank.  Runs alternate between the two, best of ``repeats`` each; a
+    ratio of two timings on the same host, so machine-portable.  The
+    collector stays on: fewer per-rank lists also means less for it to
+    scan, which is part of the saving."""
+    from repro.harness import compile_sample
+    from repro.runtime.compile import CompiledProgram
+
+    runner = Runner()
+    written_params = CompiledProgram.written_params
+    speedups = {}
+    for name in _MPI_SWEEP_CASES:
+        problem = next(p for p in all_problems() if p.name == name)
+        prompt = render_prompt(problem, "mpi")
+        program, reason = compile_sample(
+            variants_for(problem, "mpi")[0].source, "mpi")
+        assert program is not None, reason
+        assert program.written_params(problem.entry) == frozenset()
+        runner.measure(program, prompt)   # start the 512 rank threads
+        best = {"shared": float("inf"), "copied": float("inf")}
+        for _ in range(repeats):
+            for mode in best:
+                if mode == "copied":
+                    CompiledProgram.written_params = \
+                        lambda self, kernel: None
+                gc.collect()      # start each run with the same heap
+                try:
+                    t0 = time.perf_counter()
+                    runner.measure(program, prompt)
+                    elapsed = time.perf_counter() - t0
+                finally:
+                    CompiledProgram.written_params = written_params
+                best[mode] = min(best[mode], elapsed)
+        speedups[f"{name}/mpi"] = best["copied"] / best["shared"]
+    return speedups
+
+
+def test_mpi_sweep_speedup_meets_baseline():
+    """CI perf-regression gate for per-rank MPI cost: sharing read-only
+    inputs keeps every case's sweep speedup over per-rank copies within
+    20% of the speedup recorded in BENCH_harness.json.  A sharing
+    analysis that stops proving inputs read-only reads about 1.0x.
+
+    Re-record after a deliberate change with::
+
+        REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest \
+            benchmarks/bench_harness_throughput.py -k mpi_sweep
+    """
+    measured = measure_mpi_sweep_speedups()
+    print("\nMPI sweep speedup (1-512 ranks, per-rank copies/shared):")
+    for case, speedup in measured.items():
+        print(f"  {case:28s} {speedup:5.2f}x")
+    if os.environ.get("REPRO_BENCH_RECORD"):
+        _record_baseline(mpi_sweep={
+            "comment": "wall-clock speedup of the 1-512-rank MPI timing "
+                       "sweep when ranks share read-only inputs, over "
+                       "deep-copying every input per rank; same-host "
+                       "ratios, so portable across machines",
+            **{k: round(v, 2) for k, v in measured.items()}})
+        return
+    baseline = json.loads(_BASELINE_PATH.read_text())["mpi_sweep"]
+    for case, speedup in measured.items():
+        assert speedup >= baseline[case] * 0.8, (
+            f"{case}: {speedup:.2f}x regressed >20% below the recorded "
+            f"{baseline[case]:.2f}x")
 
 
 # -- MiniParSan pre-execution screen -------------------------------------------

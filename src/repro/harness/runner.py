@@ -417,9 +417,11 @@ class Runner:
                 prof.counters = dict(ctx.prof.counters)
             return times, prof
         if model == "mpi":
+            # run_mpi never writes the caller's arrays: one set serves
+            # every rank count
+            args = problem.to_minipar_args(inputs)
             for p in self.mpi_rank_counts:
-                res = run_mpi(program, problem.entry,
-                              problem.to_minipar_args(inputs), p, self.machine,
+                res = run_mpi(program, problem.entry, args, p, self.machine,
                               work_scale=scale, fuel=TIMING_FUEL,
                               profile=profile, vectorize=self.vectorize,
                               vec_stats=vec_stats)

@@ -31,6 +31,8 @@ class BuiltinSig:
     types are invalid; the type checker turns that into a compile error.
     ``lambda_params`` gives, per argument index, the parameter types a
     lambda argument must accept (or None for a non-lambda argument).
+    ``mutates`` lists the argument indices whose array the builtin writes
+    in place; every other argument is only read (or copied).
     """
 
     name: str
@@ -40,6 +42,7 @@ class BuiltinSig:
     lambda_params: Tuple[Optional[Tuple[T.Type, ...]], ...] = ()
     str_args: Tuple[int, ...] = ()  # indices that must be operator strings
     doc: str = ""
+    mutates: Tuple[int, ...] = ()  # indices of arrays written in place
 
 
 def _fixed(params: Sequence[T.Type], result: T.Type) -> Callable:
@@ -160,6 +163,9 @@ def _cast_float(args):
     return None
 
 
+#: core builtins that write their array argument in place
+_CORE_IN_PLACE = ("fill", "sort", "swap")
+
 for _name, _resolve, _arity, _doc in [
     ("len", _len_resolve, (1,), "Number of elements in a 1-D array."),
     ("rows", _dim_resolve, (1,), "Number of rows of a 2-D array."),
@@ -189,7 +195,8 @@ for _name, _resolve, _arity, _doc in [
     ("swap", _swap_resolve, (3,), "Swap two elements of an array."),
     ("select", _select_resolve, (3,), "Ternary: select(cond, a, b)."),
 ]:
-    _register(BuiltinSig(_name, "core", _resolve, _arity, doc=_doc))
+    _register(BuiltinSig(_name, "core", _resolve, _arity, doc=_doc,
+                         mutates=(0,) if _name in _CORE_IN_PLACE else ()))
 
 
 # --------------------------------------------------------------------------
@@ -242,12 +249,14 @@ _register(BuiltinSig(
     "parallel_scan_inclusive", "kokkos", _pscan_resolve, (4,),
     lambda_params=(None, None, (T.INT,), None),
     str_args=(1,),
+    mutates=(3,),
     doc='Inclusive parallel scan of per-index contributions into out.',
 ))
 _register(BuiltinSig(
     "parallel_scan_exclusive", "kokkos", _pscan_resolve, (4,),
     lambda_params=(None, None, (T.INT,), None),
     str_args=(1,),
+    mutates=(3,),
     doc='Exclusive parallel scan of per-index contributions into out.',
 ))
 
@@ -351,6 +360,9 @@ def _scan_int(args):
     return None
 
 
+#: collectives that write their array argument in place
+_MPI_IN_PLACE = ("mpi_bcast_array", "mpi_reduce_array", "mpi_allreduce_array")
+
 for _name, _resolve, _arity, _strargs, _doc in [
     ("mpi_rank", _fixed((), T.INT), (0,), (), "This process' rank."),
     ("mpi_size", _fixed((), T.INT), (0,), (), "Number of ranks."),
@@ -394,7 +406,9 @@ for _name, _resolve, _arity, _strargs, _doc in [
      "Inclusive prefix reduction across ranks (int)."),
     ("mpi_barrier", _fixed((), T.UNIT), (0,), (), "Synchronize all ranks."),
 ]:
-    _register(BuiltinSig(_name, "mpi", _resolve, _arity, str_args=_strargs, doc=_doc))
+    _register(BuiltinSig(_name, "mpi", _resolve, _arity, str_args=_strargs,
+                         doc=_doc, mutates=(0,) if _name in _MPI_IN_PLACE
+                         else ()))
 
 
 # --------------------------------------------------------------------------
@@ -427,4 +441,5 @@ for _name, _doc in [
     ("atomic_min", "Atomically a[i] = min(a[i], v)."),
     ("atomic_max", "Atomically a[i] = max(a[i], v)."),
 ]:
-    _register(BuiltinSig(_name, "atomic", _atomic_resolve, (3,), doc=_doc))
+    _register(BuiltinSig(_name, "atomic", _atomic_resolve, (3,), doc=_doc,
+                         mutates=(0,)))

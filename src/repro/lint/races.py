@@ -57,14 +57,21 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from ..lang import ast as A
-from ..lang import loops
+from ..lang import builtins, loops
 from ..lang.typecheck import CheckedProgram
 from .diagnostics import (ANALYZER_RACE, DEFINITE, POSSIBLE, Diagnostic)
 
+
+def _first_arg_writers(category: str) -> frozenset:
+    """Builtins of ``category`` that write their first (array) argument."""
+    return frozenset(name for name in builtins.names_in_category(category)
+                     if 0 in builtins.get(name).mutates)
+
+
 #: builtins that mutate their first (array) argument wholesale
-_WHOLE_ARRAY_WRITERS = {"sort", "fill", "swap"}
+_WHOLE_ARRAY_WRITERS = _first_arg_writers("core")
 #: builtins that atomically update array cells — protected by definition
-_ATOMIC_WRITERS = {"atomic_add", "atomic_min", "atomic_max"}
+_ATOMIC_WRITERS = _first_arg_writers("atomic")
 #: kokkos entry points carrying a functor: name -> lambda argument slot
 _KOKKOS_FUNCTORS = {
     "parallel_for": 1,

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
-from ..lang import ast, loops
+from ..lang import ast, effects, loops
 from ..lang import builtins as bi
 from ..lang import types as T
 from ..lang.errors import RuntimeFailure, TrapError
@@ -106,9 +107,18 @@ class CompiledProgram:
     def __init__(self, checked: CheckedProgram):
         self.checked = checked
         self.kernels: Dict[str, CompiledKernel] = {}
+        self._written: Optional[Dict[str, FrozenSet[int]]] = None
 
     def run_kernel(self, name: str, ctx: ExecCtx, args: Sequence[object]):
         return self.kernels[name].fn(ctx, args)
+
+    def written_params(self, name: str) -> Optional[FrozenSet[int]]:
+        """Positions of the parameters kernel ``name`` may write
+        (:func:`repro.lang.effects.written_params`, computed once), or
+        None when the program has no such kernel."""
+        if self._written is None:
+            self._written = effects.written_params(self.checked.program)
+        return self._written.get(name)
 
 
 # --------------------------------------------------------------------------

@@ -554,7 +554,7 @@ class _RankThread:
             job, self.job = self.job, None
             handoff = job()
             # drop the finished job before parking: it holds the world,
-            # every rank's ExecCtx and every rank's copy of the inputs
+            # every rank's ExecCtx and every rank's private inputs
             job = None
             with _idle_lock:
                 _idle.append(self)
@@ -614,8 +614,12 @@ def run_mpi(
     """Run ``kernel`` on ``nranks`` simulated ranks with replicated inputs.
 
     ``threads_per_rank > 0`` selects the hybrid MPI+OpenMP runtime.
-    Inputs are deep-copied per rank (PCGBench MPI prompts state the data
-    is replicated on every rank); rank 0's copies are returned for
+    Every rank sees its own replica of each input (PCGBench MPI prompts
+    state the data is replicated on every rank), and no rank's writes
+    reach another rank or the caller.  An input the kernel provably
+    never writes (:meth:`CompiledProgram.written_params`) is shared by
+    all ranks instead of copied, which no rank can observe; every other
+    input is deep-copied per rank.  Rank 0's arguments are returned for
     correctness checking.
 
     ``watchdog_timeout`` bounds the host-side wait for the whole job: a
@@ -626,8 +630,13 @@ def run_mpi(
     idle list only once it unwinds.
     """
     world = CommWorld(nranks, machine, work_scale)
+    # every rank reads the one caller array of a parameter the kernel
+    # never writes; a parameter it may write gets a private copy per rank
+    written = program.written_params(kernel)
     rank_args: List[List[object]] = [
-        [deep_copy_value(a) for a in args] for _ in range(nranks)
+        [deep_copy_value(a) if written is None or i in written else a
+         for i, a in enumerate(args)]
+        for _ in range(nranks)
     ]
     ctxs: List[ExecCtx] = []
     for r in range(nranks):

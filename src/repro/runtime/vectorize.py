@@ -13,17 +13,21 @@ The contract is **observational identity**, not approximation:
 
 * **Cost.**  The scalar tier folds one float add per statement per
   iteration into ``ctx.cost``.  Floating-point addition is not
-  associative, so the bulk tier never uses a closed form; it replays the
-  identical add sequence with ``np.add.accumulate`` (strictly sequential,
-  bitwise equal to the Python fold) and assigns the resulting boundary
-  values.  Per-iteration cost profiles are differences of those
-  boundaries — again bitwise equal.
+  associative, so the bulk tier replays the identical add sequence with
+  ``np.add.accumulate`` (strictly sequential, bitwise equal to the Python
+  fold) and assigns the resulting boundary values.  It uses the closed
+  form ``c0 + k * step`` only where no add of the fold can round (every
+  term a multiple of 2**-16, every partial sum below 2**37), so the two
+  are the same number.  Per-iteration cost profiles are differences of
+  those boundaries — again bitwise equal.
 * **Values.**  Element-wise float64/int64 ``+ - *`` and int→float
   conversion are bitwise identical between numpy and CPython.  Reductions
   replay the scalar left fold with ``ufunc.accumulate`` (sequential), so
   float reduction *ordering* is preserved exactly.  Int64 overflow (where
   numpy wraps but Python promotes to bignum) is excluded up front by
-  interval analysis over the loop body.
+  interval analysis over the loop body.  A body of plain copies
+  (``a[..] = b[..]`` or ``= invariant``) runs as list slice copies: the
+  very objects the scalar tier would store, with no conversion at all.
 * **Traps and fuel.**  The recognized grammar contains no trapping
   operations (no division, no calls, no float→int stores), so the only
   runtime hazards — out-of-bounds indices, aliased write forms, int64
@@ -171,7 +175,7 @@ class VecPlan:
     """
 
     __slots__ = ("var", "stmts", "sites", "value", "names", "loads",
-                 "stores", "reds")
+                 "stores", "reds", "moves_only", "iter_sites")
 
     def __init__(self, var: str, stmts: List[object], sites: List[float],
                  value: Optional[VNode] = None):
@@ -184,6 +188,10 @@ class VecPlan:
         self.loads: Tuple[VNode, ...] = ()
         self.stores: Tuple[VStore, ...] = ()
         self.reds: Tuple[VReduce, ...] = ()
+        #: every statement a plain ``=`` copy of a load or an invariant
+        self.moves_only = False
+        #: loop-header weight -> per-iteration cost adds, built on first use
+        self.iter_sites: Dict[float, "_Sites"] = {}
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +345,17 @@ def _index_plan(plan: VecPlan) -> Optional[VecPlan]:
     plan.loads = tuple(loads)
     plan.stores = stores
     plan.reds = reds
+    plan.moves_only = bool(stores) and not reds and plan.value is None \
+        and all(_is_move(s) for s in stores)
     return plan
+
+
+def _is_move(s: VStore) -> bool:
+    """``base[c*i + off] = x[...]`` or ``= invariant`` (loads always
+    carry ``has_ivar``): no arithmetic on lanes and no conversion, so
+    list slices execute it exactly."""
+    return (s.op == "=" and not s.to_float
+            and (s.value.kind == "load" or not s.value.has_ivar))
 
 
 def build_stmt_plan(compiler, var: str, stmts) -> Optional[VecPlan]:
@@ -430,13 +448,17 @@ _DTYPES = {True: np.int64, False: np.float64}
 class _Prep:
     """Everything the executor needs, established before any mutation."""
 
-    __slots__ = ("arrays", "offsets", "forms", "scal", "n", "start", "step")
+    __slots__ = ("arrays", "offsets", "forms", "scal", "lanes", "n",
+                 "start", "step")
 
     def __init__(self):
         self.arrays: Dict[str, Array] = {}
         self.offsets: Dict[int, int] = {}     # id(off VNode) -> value
         self.forms: Dict[str, Tuple[int, int]] = {}   # ident -> (p0, dp)
         self.scal: Dict[str, object] = {}     # invariant name -> value
+        #: (uid, p0, dp) -> int64 lanes 0..n-1 of an int load, converted
+        #: once by the interval pass and reused by the segment loads
+        self.lanes: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
 def _eval_inv(node: VNode, env: dict):
@@ -499,6 +521,8 @@ class _IntervalState:
         _, p0, dp = key
         seg = arr.data[_slice_for(p0, dp, 0, n)] if dp else [arr.data[p0]]
         lanes = np.array(seg, dtype=np.int64)   # OverflowError -> fallback
+        if dp:
+            self.prep.lanes[key] = lanes
         iv = (int(lanes.min()), int(lanes.max()))
         self.mem[key] = iv
         return iv
@@ -640,6 +664,8 @@ def _prepare(plan: VecPlan, env: dict, ctx, start: int, stop: int,
             if forms_by_uid[arr.uid] != {(p0, dp)}:
                 raise _Ineligible
 
+        if plan.moves_only:
+            return prep         # list slices compute no int64 intermediate
         # int64 interval analysis over one in-order body pass
         state = _IntervalState(prep, start, start + (n - 1) * step)
         if plan.value is not None:
@@ -665,15 +691,45 @@ def _prepare(plan: VecPlan, env: dict, ctx, start: int, stop: int,
 # -- cost replication --------------------------------------------------------
 
 _COST_CHUNK = 1 << 16
+#: A fold whose terms are all multiples of 2**-16 and whose partial sums
+#: stay below 2**37 in magnitude never rounds: every partial sum is an
+#: integer multiple of 2**-16 under 2**53 of them, exactly representable.
+#: The fold then equals its closed form bit for bit.
+_COST_SCALE = float(1 << 16)
+_COST_EXACT = float(1 << 37)
 
 
-def _iter_sites(iter_weight: float, sites: List[float]) -> np.ndarray:
-    return np.asarray([iter_weight] + list(sites), dtype=np.float64)
+class _Sites:
+    """The cost adds of one iteration (the header, then each statement)
+    and, when they are all multiples of 2**-16, their exact sum."""
+
+    __slots__ = ("seq", "step", "mag")
+
+    def __init__(self, iter_weight: float, sites: List[float]):
+        terms = [iter_weight] + sites
+        self.seq = np.asarray(terms, dtype=np.float64)
+        self.mag = sum(abs(t) for t in terms)
+        exact = all((t * _COST_SCALE).is_integer() for t in terms)
+        self.step = sum(terms) if exact and self.mag < _COST_EXACT else None
+
+    def closed(self, c0: float, n: int) -> bool:
+        """True when the fold of n iterations from c0 never rounds."""
+        return (self.step is not None
+                and (c0 * _COST_SCALE).is_integer()
+                and abs(c0) + n * self.mag < _COST_EXACT)
 
 
-def _final_cost(c0: float, site_seq: np.ndarray, n: int) -> float:
-    """Final ``ctx.cost`` after n iterations — the exact sequential fold,
-    evaluated in bounded-memory chunks."""
+def _iter_sites(plan: VecPlan, iter_weight: float) -> _Sites:
+    sites = plan.iter_sites.get(iter_weight)
+    if sites is None:
+        sites = plan.iter_sites[iter_weight] = _Sites(iter_weight, plan.sites)
+    return sites
+
+
+def _fold_chunks(c0: float, site_seq: np.ndarray, n: int):
+    """The scalar tier's sequential cost adds, replayed in bounded-memory
+    chunks: yields ``(done, cnt, arr)`` where ``arr[j*m]`` is the cost
+    after ``done + j`` complete iterations (m sites per iteration)."""
     m = len(site_seq)
     c = c0
     done = 0
@@ -681,30 +737,34 @@ def _final_cost(c0: float, site_seq: np.ndarray, n: int) -> float:
         cnt = min(_COST_CHUNK, n - done)
         arr = np.empty(cnt * m + 1, dtype=np.float64)
         arr[0] = c
-        arr[1:] = np.tile(site_seq, cnt)
+        arr[1:].reshape(cnt, m)[...] = site_seq
         np.add.accumulate(arr, out=arr)
+        yield done, cnt, arr
         c = float(arr[-1])
         done += cnt
+
+
+def _final_cost(c0: float, sites: _Sites, n: int) -> float:
+    """Final ``ctx.cost`` after n iterations, bitwise equal to the scalar
+    tier's sequential adds."""
+    if sites.closed(c0, n):
+        return c0 + n * sites.step
+    c = c0
+    for _, _, arr in _fold_chunks(c0, sites.seq, n):
+        c = float(arr[-1])
     return c
 
 
-def _cost_bounds(c0: float, site_seq: np.ndarray, n: int) -> np.ndarray:
+def _cost_bounds(c0: float, sites: _Sites, n: int) -> np.ndarray:
     """``bounds[k]`` = ctx.cost after k complete iterations (bitwise equal
     to the scalar tier's sequential adds); length n+1."""
-    m = len(site_seq)
+    if sites.closed(c0, n):
+        return c0 + sites.step * np.arange(n + 1, dtype=np.float64)
+    m = len(sites.seq)
     bounds = np.empty(n + 1, dtype=np.float64)
     bounds[0] = c0
-    c = c0
-    done = 0
-    while done < n:
-        cnt = min(_COST_CHUNK, n - done)
-        arr = np.empty(cnt * m + 1, dtype=np.float64)
-        arr[0] = c
-        arr[1:] = np.tile(site_seq, cnt)
-        np.add.accumulate(arr, out=arr)
+    for done, cnt, arr in _fold_chunks(c0, sites.seq, n):
         bounds[done + 1:done + cnt + 1] = arr[m::m]
-        c = float(arr[-1])
-        done += cnt
     return bounds
 
 
@@ -764,8 +824,14 @@ def _load_seg(ident: str, coeff: int, off: VNode, is_int: bool,
     key = (arr.uid, p0, dp)
     lanes = st.cache.get(key)
     if lanes is None:
-        sl = _slice_for(p0, dp, st.a, st.b - st.a)
-        lanes = np.array(arr.data[sl], dtype=_DTYPES[is_int])
+        lanes = prep.lanes.get(key)
+        if lanes is not None:
+            # unmutated until this segment: the written forms are
+            # injective, so no earlier segment touched lanes a..b-1
+            lanes = lanes[st.a:st.b]
+        else:
+            sl = _slice_for(p0, dp, st.a, st.b - st.a)
+            lanes = np.array(arr.data[sl], dtype=_DTYPES[is_int])
         st.cache[key] = lanes
     return lanes
 
@@ -773,10 +839,34 @@ def _load_seg(ident: str, coeff: int, off: VNode, is_int: bool,
 _RED_IDENT = {"+=": "add", "-=": "add", "*=": "multiply"}
 
 
+def _exec_moves(plan: VecPlan, prep: _Prep, env: dict, a: int,
+                b: int) -> None:
+    """Lanes [a, b) of a moves-only plan as list slice copies, statement
+    by statement.  Writing each statement back at once is exact for the
+    same reason forwarding is: a written array has one injective form,
+    so lane k of a statement reads either data no lane writes or what
+    lane k of an earlier statement wrote."""
+    cnt = b - a
+    for s in plan.stmts:
+        v = s.value
+        if v.kind != "load":
+            lanes = [_eval_inv(v, env)] * cnt
+        else:
+            src = prep.arrays[v.ident].data
+            q0 = v.coeff * prep.start + prep.offsets[id(v.off)]
+            dq = v.coeff * prep.step
+            lanes = src[_slice_for(q0, dq, a, cnt)] if dq else [src[q0]] * cnt
+        p0, dp = prep.forms[s.ident]
+        prep.arrays[s.ident].data[_slice_for(p0, dp, a, cnt)] = lanes
+
+
 def _exec_segment(plan: VecPlan, prep: _Prep, env: dict, a: int, b: int,
                   collect: Optional[list] = None) -> None:
     """Execute lanes [a, b) of the loop in bulk: statements in order,
     store-to-load forwarding per array form, write-back at the end."""
+    if plan.moves_only:
+        _exec_moves(plan, prep, env, a, b)
+        return
     st = _SegState(prep, env, a, b)
     cnt = b - a
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -865,8 +955,7 @@ def run_serial(plan: VecPlan, env: dict, ctx, start: int, stop: int,
     prep = _prepare(plan, env, ctx, start, stop, step, n)
     if prep is None:
         return False
-    site_seq = _iter_sites(iter_weight, plan.sites)
-    final = _final_cost(ctx.cost, site_seq, n)
+    final = _final_cost(ctx.cost, _iter_sites(plan, iter_weight), n)
     if final > ctx.fuel:
         # the scalar tier raises FuelExhausted at the exact back-edge
         if ctx.vec_stats is not None:
@@ -915,8 +1004,7 @@ def run_windowed(plan: VecPlan, env: dict, ctx, start: int, stop: int,
     prep = _prepare(plan, env, ctx, start, stop, step, n)
     if prep is None:
         return None
-    site_seq = _iter_sites(iter_weight, plan.sites)
-    bounds = _cost_bounds(ctx.cost, site_seq, n)
+    bounds = _cost_bounds(ctx.cost, _iter_sites(plan, iter_weight), n)
     if bounds[-1] > ctx.fuel:
         if ctx.vec_stats is not None:
             ctx.vec_stats.miss()

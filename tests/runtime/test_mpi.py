@@ -1,16 +1,21 @@
 """Tests for the MPI and hybrid runtimes."""
 
 import multiprocessing as mp
+import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.bench.problems import all_problems
 from repro.faults import FaultPlan, FaultRule, injector
 from repro.lang.errors import (DeadlockError, FuelExhausted, MPIUsageError,
                                RuntimeFailure)
+from repro.models.solutions import variants_for
 from repro.runtime import DEFAULT_MACHINE, Array, run_mpi
 from repro.runtime import mpi as mpi_mod
+from repro.runtime.compile import CompiledProgram
 
 from .helpers import compiled, farr, iarr
 
@@ -385,6 +390,161 @@ class TestMPITimeAndFailures:
     def test_single_rank_runs_inline(self):
         res = mpi_run(BLOCK_SUM, "f", [farr(range(64))], 1)
         assert res.ret == sum(range(64))
+
+
+#: helpers the write-path kernels call
+WRITE_HELPERS = """
+kernel poke(a: array<float>) { a[0] = 9.0; }
+kernel poke_via(a: array<float>) { poke(a); }
+kernel same(a: array<float>) -> array<float> { return a; }
+"""
+
+#: each path writes x by that path alone: on rank 1 only ("rank1"), on
+#: every rank ("all"), or inside a Kokkos pattern, which the MPI runtime
+#: refuses at run time ("kokkos") -- the analysis must still see it
+WRITE_PATHS = [
+    ("index store", "x[0] = 9.0;", "rank1"),
+    ("compound store", "x[0] += 9.0;", "rank1"),
+    ("sort", "sort(x);", "rank1"),
+    ("fill", "fill(x, 9.0);", "rank1"),
+    ("swap", "swap(x, 0, 1);", "rank1"),
+    ("atomic_add", "atomic_add(x, 0, 9.0);", "rank1"),
+    ("atomic_min", "atomic_min(x, 0, -9.0);", "rank1"),
+    ("atomic_max", "atomic_max(x, 0, 9.0);", "rank1"),
+    ("user kernel", "poke(x);", "rank1"),
+    ("user kernel, transitively", "poke_via(x);", "rank1"),
+    ("let alias", "let y = x; y[0] = 9.0;", "rank1"),
+    ("assignment alias", "let y = alloc_float(3); y = x; y[0] = 9.0;",
+     "rank1"),
+    ("select alias",
+     "let y = select(true, x, alloc_float(3)); y[0] = 9.0;", "rank1"),
+    ("returned alias", "let y = same(x); y[0] = 9.0;", "rank1"),
+    ("mpi_bcast_array", "mpi_bcast_array(x, 1);", "all"),
+    ("mpi_reduce_array", 'mpi_reduce_array(x, "sum", 0);', "all"),
+    ("mpi_allreduce_array", 'mpi_allreduce_array(x, "sum");', "all"),
+    ("lambda capture", "parallel_for(1, (i) => { x[i] = 9.0; });",
+     "kokkos"),
+    ("kokkos scan output",
+     'parallel_scan_inclusive(3, "sum", (i) => 1.0, x);', "kokkos"),
+]
+
+
+def _copy_every_input(monkeypatch):
+    """Make run_mpi deep-copy every argument for every rank."""
+    monkeypatch.setattr(CompiledProgram, "written_params",
+                        lambda self, name: None)
+
+
+def _outcome(res):
+    args = [a.data if isinstance(a, Array) else a for a in res.args]
+    err = None if res.error is None else \
+        f"{type(res.error).__name__}: {res.error}"
+    return res.ret, args, res.sim_seconds, err
+
+
+class TestReplicatedInputs:
+    """Inputs a kernel never writes are shared by all ranks; the rest are
+    copied per rank, so no rank's write reaches a peer or the caller."""
+
+    @pytest.mark.parametrize("path,write,where", WRITE_PATHS,
+                             ids=[p[0] for p in WRITE_PATHS])
+    def test_written_input_stays_private(self, path, write, where,
+                                         monkeypatch):
+        body = write if where == "all" else \
+            f"if (mpi_rank() == 1) {{ {write} }}"
+        src = WRITE_HELPERS + f"""
+        kernel f(x: array<float>) -> float {{
+            {body}
+            mpi_barrier();
+            return x[0];
+        }}
+        """
+        cp = compiled(src)
+        assert cp.written_params("f") == {0}
+        x = farr([3, 1, 2])
+        res = run_mpi(cp, "f", [x], 4, DEFAULT_MACHINE)
+        assert (res.error is None) == (where != "kokkos")
+        assert x.data == [3.0, 1.0, 2.0]     # nothing reached the caller
+        if where == "rank1":
+            # rank 0 reads its own replica after rank 1 wrote
+            assert res.ret == 3.0
+            assert res.args[0].data == [3.0, 1.0, 2.0]
+        _copy_every_input(monkeypatch)
+        copied = run_mpi(cp, "f", [farr([3, 1, 2])], 4, DEFAULT_MACHINE)
+        assert _outcome(res) == _outcome(copied)
+
+    def test_read_only_512_rank_job_makes_no_input_copies(self,
+                                                          monkeypatch):
+        src = """
+        kernel f(x: array<float>, n: int) -> float {
+            let mirror = copy(x);
+            for (i in 0..len(x)) {
+                mirror[i] = x[i];
+            }
+            let y = x;
+            let local = 0.0;
+            for (i in mpi_rank()..n) {
+                local += y[i];
+            }
+            return mpi_allreduce_float(local, "sum");
+        }
+        """
+        copies = []
+        real = mpi_mod.deep_copy_value
+
+        def counting(value):
+            if isinstance(value, Array):
+                copies.append(value)
+            return real(value)
+
+        monkeypatch.setattr(mpi_mod, "deep_copy_value", counting)
+        cp = compiled(src)
+        assert cp.written_params("f") == frozenset()
+        x = farr(range(600))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # hand-offs race the rank threads
+        try:
+            res = run_mpi(cp, "f", [x, 512], 512, DEFAULT_MACHINE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.error is None
+        assert res.ret == sum(sum(range(r, 512)) for r in range(512))
+        assert res.args[0] is x
+        assert x.data == [float(v) for v in range(600)]
+        assert copies == []
+        written = compiled(src.replace("let y = x;", "let y = x; y[0] = 1.0;"))
+        run_mpi(written, "f", [x, 512], 512, DEFAULT_MACHINE)
+        assert len(copies) == 512
+
+    @pytest.mark.parametrize("model", ["mpi", "mpi+omp"])
+    def test_bank_matches_forced_copies(self, model, monkeypatch):
+        """Every handwritten MPI and hybrid variant: sharing read-only
+        inputs changes no return, rank-0 argument, time or error."""
+        rng = np.random.default_rng(29)
+        jobs = []
+        for problem in all_problems():
+            inputs = problem.generate(rng, problem.correctness_size)
+            for v in variants_for(problem, model):
+                jobs.append((problem, compiled(v.source), inputs))
+        tpr = 2 if model == "mpi+omp" else 0
+
+        def run_all():
+            out = []
+            for problem, cp, inputs in jobs:
+                for p in (1, 4, 16):
+                    args = problem.to_minipar_args(inputs)
+                    before = [a.data[:] if isinstance(a, Array) else a
+                              for a in args]
+                    res = run_mpi(cp, problem.entry, args, p,
+                                  DEFAULT_MACHINE, threads_per_rank=tpr)
+                    assert [a.data if isinstance(a, Array) else a
+                            for a in args] == before
+                    out.append(_outcome(res))
+            return out
+
+        shared = run_all()
+        _copy_every_input(monkeypatch)
+        assert run_all() == shared
 
 
 CYCLIC_RECV = """

@@ -341,6 +341,28 @@ class TestParallelRuntimes:
         # the two 48-iteration trace windows run on the scalar tier
         assert stats.bulk_iters == N - 96
 
+    def test_omp_windowed_int_loads_identical(self):
+        # the interval pass converts x once for the whole trip; each bulk
+        # span between the trace windows reads its own slice of that
+        src = """
+        kernel scale(x: array<int>, y: array<int>) {
+            pragma omp parallel for
+            for (i in 0..len(x)) {
+                y[i] = 3 * x[i] + y[i];
+            }
+        }
+        """
+
+        def make():
+            rng = np.random.default_rng(7)
+            return [iarr(rng.integers(-50, 50, N)),
+                    iarr(rng.integers(-50, 50, N))]
+
+        stats = assert_identical(src, "scale", make,
+                                 lambda: OpenMPRuntime(THREADS))
+        assert stats.bulk_loops == 1
+        assert stats.bulk_iters == N - 96
+
     def test_omp_race_verdict_identical(self):
         # every iteration writes index 0: outside the vector grammar
         # (coefficient 0), so both tiers trace it — and both must race
@@ -478,6 +500,96 @@ class TestTouchBlock:
         """
         stats = assert_identical(src, "fc", _floats())
         assert stats.fallbacks == 0
+
+
+REENTERED = """
+kernel k(r: array<int>, x: array<float>, reps: int) -> float {
+    let w = copy(r);
+    let y = copy(x);
+    let acc = 0.0;
+    let s = 0;
+    for (rep in 0..reps) {
+        for (i in 0..len(w)) {
+            w[i] = r[i];
+        }
+        for (i in 0..len(y)) {
+            y[i] = x[i] * 0.5 + y[i];
+            acc += y[i];
+        }
+        for (i in 0..len(r)) {
+            s += r[i] * 3;
+        }
+    }
+    return acc + float(s + w[len(w) - 1]);
+}
+"""
+
+
+class TestReenteredLoops:
+    """One loop entered many times: the per-entry shortcuts (the shared
+    int conversion, list-slice moves, the closed-form cost fold) must
+    leave cost, values and fuel bit-identical to the scalar tier."""
+
+    @staticmethod
+    def _args(n=200):
+        rng = np.random.default_rng(43)
+        return [iarr(rng.integers(-1000, 1000, n)),
+                farr(rng.standard_normal(n))]
+
+    def test_many_entries_in_one_context(self):
+        stats = assert_identical(REENTERED, "k",
+                                 lambda: self._args() + [150])
+        assert stats.bulk_loops == 3 * 150
+        assert stats.fallbacks == 0
+
+    def test_fuel_runs_out_between_entries_identically(self):
+        _, err, ctx, _ = _run_one(REENTERED, "k", self._args() + [150],
+                                  SerialRuntime, False)
+        assert err is None
+        fuel = int(ctx.cost * 0.6)
+        _, err, _, stats = _run_one(REENTERED, "k", self._args() + [150],
+                                    SerialRuntime, True, fuel=fuel)
+        assert err is not None and "FuelExhausted" in err
+        assert stats.bulk_loops > 0
+        assert_identical(REENTERED, "k", lambda: self._args() + [150],
+                         fuel=fuel)
+
+    # a rank's three passes cost about 19.7k units: 12k runs out mid-way
+    @pytest.mark.parametrize("fuel", [None, 12_000])
+    def test_many_entries_in_a_512_rank_job(self, fuel):
+        out = {}
+        for vec in (True, False):
+            args = self._args() + [3]
+            stats = VecStats()
+            res = run_mpi(compiled(REENTERED), "k", args, 512,
+                          DEFAULT_MACHINE, fuel=fuel, vectorize=vec,
+                          vec_stats=stats)
+            err = None if res.error is None else \
+                f"{type(res.error).__name__}: {res.error}"
+            out[vec] = (res.ret, res.sim_seconds, err,
+                        [a.data for a in res.args[:2]], stats.bulk_loops)
+        assert out[True][:4] == out[False][:4]
+        if fuel is None:
+            assert out[True][2] is None
+            assert out[True][4] == 512 * 3 * 3
+        else:
+            assert "FuelExhausted" in out[True][2]
+
+    @pytest.mark.parametrize("c0", [0.0, 3.25, 1e6 + 0.5, 0.1, 2.0 ** 40])
+    @pytest.mark.parametrize("weights", [(1.5, 6.0), (1.5, 0.25 + 2.0 ** -16),
+                                         (1.5, 0.3, 2.25)])
+    def test_cost_fold_matches_sequential_adds(self, c0, weights):
+        from repro.runtime.vectorize import _cost_bounds, _final_cost, _Sites
+        sites = _Sites(weights[0], list(weights[1:]))
+        n = 700
+        want = [c0]
+        c = c0
+        for _ in range(n):
+            for w in weights:
+                c += w
+            want.append(c)
+        assert _final_cost(c0, sites, n) == want[-1]
+        assert _cost_bounds(c0, sites, n).tolist() == want
 
 
 class TestArrayRoundTrip:
