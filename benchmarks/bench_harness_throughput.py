@@ -155,7 +155,7 @@ def test_vectorize_speedup_meets_baseline():
     Re-record after a deliberate change with::
 
         REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest \
-            benchmarks/bench_harness_throughput.py -k speedup
+            benchmarks/bench_harness_throughput.py -k vectorize_speedup
     """
     measured = measure_vectorize_speedups()
     geomean = 1.0

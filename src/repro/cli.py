@@ -29,7 +29,8 @@ Commands
 ``serve [--host H] [--port P] [--jobs N] [--queue N]``
     Run the evaluation service (``docs/serving.md``): JSON over HTTP,
     micro-batched requests deduplicated across clients by content hash,
-    every batch run on one long-lived worker pool with a resume journal,
+    every batch run on one long-lived worker pool that re-runs only the
+    unsettled tasks on fresh workers after a pool-loop death,
     bounded-queue admission control (429 + Retry-After on overload), and
     a ``/metrics`` endpoint.  ``--smoke`` starts the server, drives one
     request through a live socket, checks the digest, and exits —
@@ -41,9 +42,9 @@ Commands
     survives worker kills and corrupted results, a kill at every journal
     index resumes exactly, and the guard layer (quarantine and
     whole-process SIGKILL recovery) preserves exactness.
-    ``--invariant NAME`` runs one invariant (the CI ``chaos-guard`` job
-    uses ``--invariant guard-resilience``); ``--plan`` instead prints
-    the fault schedule a seed expands to.  Exit status: 0 when every
+    ``--invariant NAME`` runs one invariant (e.g. ``--invariant
+    guard-resilience``); ``--plan`` instead prints the fault schedule a
+    seed expands to.  Exit status: 0 when every
     selected invariant holds, 1 otherwise.
 
 ``run``/``eval``/``figures`` accept ``--no-static-screen`` to disable
@@ -569,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-vectorize", dest="vectorize", action="store_false",
                    help="scalar closure tier only (bit-identical, slower)")
     p.add_argument("--workdir", default=".repro_serve",
-                   help="batch journal + sample cache directory")
+                   help="sample cache + duration ledger directory")
     p.add_argument("--smoke", action="store_true",
                    help="start, run one request through a live socket, "
                         "verify, and exit (CI liveness check)")

@@ -28,8 +28,8 @@ properties as executable checks over a small fixed benchmark slice
    the statuses or times of the run it decorates.
 6. **serve-resilience** — the evaluation service (``repro.serve``)
    survives its batch pool loop dying mid-request (``serve.batch.die``)
-   composed with worker kills: the batch resumes from its journal and
-   the served result stays byte-identical to a direct
+   composed with worker kills: the batch re-runs only its unsettled
+   tasks on fresh workers and the served result stays byte-identical to a direct
    ``evaluate_model`` call.
 7. **vectorize-resilience** — the tier-2 numpy executor
    (``repro.runtime.vectorize``) composes with injection: under the
@@ -50,8 +50,7 @@ properties as executable checks over a small fixed benchmark slice
    ``serve.batch.die``) still serves the byte-identical run.
 
 ``repro chaos`` runs all nine from the command line; the CI ``chaos``
-and ``chaos-guard`` jobs and ``tests/faults/test_chaos.py`` pin them as
-regressions.
+job and ``tests/faults/test_chaos.py`` pin them as regressions.
 """
 
 from __future__ import annotations
@@ -294,8 +293,8 @@ def check_serve_resilience(workdir: Union[str, Path],
     One request is pushed through an in-process :class:`EvalService`
     under a plan that (a) hard-kills every task's first worker attempt
     and (b) aborts the batch's pool loop right after its first task
-    executes (``serve.batch.die``, once).  The batch must resume from
-    its journal, and the served
+    executes (``serve.batch.die``, once).  The batch must re-run only
+    its unsettled tasks on fresh workers, and the served
     ``EvalRun`` must match a direct fault-free ``evaluate_model`` call
     byte for byte — the differential guarantee under maximum
     infrastructure hostility.
@@ -314,8 +313,8 @@ def check_serve_resilience(workdir: Union[str, Path],
     return ChaosReport(
         "serve-resilience", True,
         f"{snap['batch_restarts']} batch pool-loop deaths and every first "
-        f"worker attempt killed; {snap['tasks_from_journal']} tasks resumed "
-        "from the batch journal and the served run matches direct "
+        f"worker attempt killed; {snap['tasks_executed']} tasks executed "
+        "across the restarts and the served run matches direct "
         "evaluation")
 
 
@@ -529,9 +528,8 @@ def run_chaos(seed: int = 11, jobs: int = 4,
     """Run the invariant suite; returns one report per check.
 
     ``only`` restricts the run to a single named invariant (e.g.
-    ``"guard-resilience"`` for the CI ``chaos-guard`` job); an unknown
-    name yields an empty report list, which callers should treat as a
-    usage error.
+    ``"guard-resilience"``); an unknown name yields an empty report
+    list, which callers should treat as a usage error.
     """
     emit = log or (lambda line: None)
     reports: List[ChaosReport] = []

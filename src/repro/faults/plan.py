@@ -73,9 +73,9 @@ INJECTION_POINTS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "serve.batch.die": (
         "serve", ("abort",),
         "abort a service batch's pool loop right after a task executes "
-        "(the journal already holds it — journal-then-notify); the batch "
-        "must recover by resuming from its batch journal; the key is "
-        "'batch'"),
+        "(the batch's result map already holds it); the batch must "
+        "recover by re-running only its unsettled tasks on fresh "
+        "workers; the key is 'batch'"),
     "guard.process.kill": (
         "guard", ("kill",),
         "SIGKILL the whole scheduler process at one event boundary (the "

@@ -21,7 +21,6 @@ guarantee; the ``guard-resilience`` chaos invariant
 """
 
 from .health import (
-    DEFAULT_POLICY,
     GuardPolicy,
     HealthLedger,
     VERDICT_POISON,
@@ -30,7 +29,6 @@ from .health import (
 from .supervisor import SupervisedResult, crash_resume_sweep, run_supervised
 
 __all__ = [
-    "DEFAULT_POLICY",
     "GuardPolicy",
     "HealthLedger",
     "SupervisedResult",

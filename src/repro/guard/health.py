@@ -44,9 +44,6 @@ class GuardPolicy:
     poison_threshold: int = 2
 
 
-DEFAULT_POLICY = GuardPolicy()
-
-
 class HealthLedger:
     """Per-task record of worker deaths and the quarantine register."""
 
@@ -77,12 +74,6 @@ class HealthLedger:
     def distinct_workers(self, task_id: str) -> Set[int]:
         return {w for (w, _kind, _detail) in self._deaths.get(task_id, ())}
 
-    def deaths(self, task_id: str) -> List[Tuple[int, str, str]]:
-        return list(self._deaths.get(task_id, ()))
-
-    def is_quarantined(self, task_id: str) -> bool:
-        return task_id in self.quarantined
-
     def fingerprint(self, task_id: str) -> str:
         """Content-deterministic description of why a task is poison.
 
@@ -96,5 +87,5 @@ class HealthLedger:
                 f"distinct workers ({kinds or 'crash'})")
 
 
-__all__ = ["DEFAULT_POLICY", "GuardPolicy", "HealthLedger",
+__all__ = ["GuardPolicy", "HealthLedger",
            "VERDICT_POISON", "VERDICT_TRANSIENT"]

@@ -54,6 +54,13 @@ W_CALL = 5.0
 W_MATH = 4.0
 W_LOOP_ITER = 1.5
 
+#: user-kernel calls that may be in progress at once.  Each MiniPar call
+#: level costs several Python frames (four for plain recursion), so past
+#: this a call is a MiniPar runtime failure, before Python's recursion
+#: limit, which fires at a depth that depends on how deep the host stack
+#: already is (pytest, a pool worker, an MPI rank thread).
+MAX_CALL_DEPTH = 64
+
 
 @dataclass
 class LamClosure:
@@ -707,7 +714,15 @@ class Compiler:
 
         def call(env: dict, ctx: ExecCtx):
             args = [f(env, ctx) for f in arg_fns]
-            return table[name](ctx, args)
+            if ctx.call_depth >= MAX_CALL_DEPTH:
+                raise RuntimeFailure(
+                    f"call to {name!r} exceeds the call depth limit "
+                    f"({MAX_CALL_DEPTH} nested calls)")
+            ctx.call_depth += 1
+            try:
+                return table[name](ctx, args)
+            finally:
+                ctx.call_depth -= 1
 
         return call, w
 

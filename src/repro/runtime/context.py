@@ -40,7 +40,7 @@ class ExecCtx:
         "extra_units", "trace", "protection", "crit_units",
         "parallel_adjust", "in_parallel", "prof",
         "gpu_thread", "gpu_block", "gpu_block_dim", "gpu_grid_dim",
-        "mem_budget", "mem_used", "vectorize", "vec_stats",
+        "mem_budget", "mem_used", "vectorize", "vec_stats", "call_depth",
     )
 
     def __init__(
@@ -81,6 +81,8 @@ class ExecCtx:
         # which makes the next allocation simulate a node OOM)
         self.mem_budget = float("inf")
         self.mem_used = 0.0
+        # user-kernel calls in progress (compile.MAX_CALL_DEPTH bounds it)
+        self.call_depth = 0
         if inject.ACTIVE is not None:
             rule = inject.ACTIVE.fire("runtime.mem.budget",
                                       type(rt).__name__)

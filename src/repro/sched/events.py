@@ -271,10 +271,6 @@ class Telemetry:
             return 0.0
         return min(1.0, self.busy_seconds / (self.workers * self.wall_seconds))
 
-    def executed_ids(self) -> List[str]:
-        return [t for t, s in self.provenance.items()
-                if s == SOURCE_EXECUTED]
-
 
 class ProgressPrinter:
     """Small CLI sink: one status line every ``every`` finished tasks."""

@@ -192,20 +192,6 @@ class Journal:
             self._fh = None
         self._buffer.clear()
 
-    def discard(self) -> None:
-        """Remove the journal file (the run completed and was persisted)."""
-        self.close()
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class SampleCache:
     """Content-addressed, cross-run store of per-task results.
@@ -317,9 +303,6 @@ class SampleCache:
             pass
         finally:
             os.close(fd)
-
-    def __contains__(self, task_id: str) -> bool:
-        return self.get(task_id) is not None
 
 
 def journal_path_for(root: Path | str, llm_name: str, num_samples: int,

@@ -30,8 +30,9 @@ Fault model (the part a naive ``multiprocessing.Pool`` gets wrong):
 
 Results are reported through ``on_result`` *before* the corresponding
 :class:`TaskFinished` event is emitted, so a sink that aborts the run
-(:class:`SchedulerAbort`) is guaranteed the journal already holds every
-task it was told about.
+(:class:`SchedulerAbort`) is guaranteed that whatever ``on_result``
+records (the caller's result map and journal) already holds every task
+it was told about.
 
 Lifetime: the caller owns the pool, best in a ``with`` block.  The
 first :meth:`WorkerPool.run` with work forks the workers; they serve

@@ -37,7 +37,6 @@ pins it for every problem under all seven execution models.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 from collections import deque
@@ -46,6 +45,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..harness.evaluate import ConfigurationError
 from ..harness.runner import Runner
+from .events import SOURCE_EXECUTED, EmitFn, TaskFinished
 from .plan import KIND_BASELINE, KIND_SAMPLE, Plan
 
 #: dispatch policies for the pool's ready queue
@@ -61,7 +61,8 @@ PRED_ESTIMATOR = "estimator"    # arbitrary units, from static features
 _FLUSH_EVERY = 64
 #: observation lines on disk that trigger compaction on close
 _COMPACT_AT = 8192
-#: recent observations kept per key (quantiles)
+#: recent observations kept per key (carried through compaction and
+#: replayed when a summary merges into a ledger that has history)
 _RECENT_CAP = 64
 
 
@@ -78,12 +79,6 @@ def feature_key(kind: str, problem: str, exec_model: str = "",
     return f"{kind}|{problem}|{exec_model}|{mode}"
 
 
-def _nearest_rank(values: Sequence[float], q: float) -> float:
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[rank]
-
-
 class _KeyStats:
     """In-memory summary of one feature key's observations."""
 
@@ -96,7 +91,7 @@ class _KeyStats:
 
 
 class DurationLedger:
-    """Durable per-key wall-time history with EMA + quantile summaries.
+    """Durable per-key wall-time history with EMA summaries.
 
     One JSONL observation per line (``{"k": key, "d": seconds}``), plus
     optional ``{"kind": "summary", ...}`` records written by compaction.
@@ -247,19 +242,6 @@ class DurationLedger:
             st = self._stats.get(key)
             return st.ema if st is not None and st.count > 0 else None
 
-    def quantile(self, key: str, q: float) -> Optional[float]:
-        """Nearest-rank quantile of the key's recent observations."""
-        with self._lock:
-            st = self._stats.get(key)
-            if st is None or not st.recent:
-                return None
-            return _nearest_rank(list(st.recent), q)
-
-    @property
-    def keys(self) -> int:
-        with self._lock:
-            return len(self._stats)
-
     def __enter__(self) -> "DurationLedger":
         return self
 
@@ -358,6 +340,19 @@ def plan_keys(plan: Plan) -> Dict[str, str]:
     return keys
 
 
+def ledger_feedback(ledger: DurationLedger,
+                    task_keys: Dict[str, str]) -> EmitFn:
+    """Event sink that records each executed task's wall time in
+    ``ledger`` under its feature key (``task_keys``: task id → key)."""
+    def observe(event: object) -> None:
+        if (isinstance(event, TaskFinished)
+                and event.source == SOURCE_EXECUTED
+                and event.task_id in task_keys):
+            ledger.observe(task_keys[event.task_id], event.duration)
+
+    return observe
+
+
 def order_tasks(task_ids: Sequence[str], policy: str,
                 predictions: Optional[Dict[str, Tuple[float, str]]] = None
                 ) -> List[str]:
@@ -394,6 +389,7 @@ def ledger_path_for(cache_root: Path | str) -> Path:
 __all__ = [
     "CostEstimator", "DISPATCH_FIFO", "DISPATCH_LPT", "DISPATCH_POLICIES",
     "DurationLedger", "PRED_ESTIMATOR", "PRED_LEDGER",
-    "feature_key", "ledger_path_for", "order_tasks", "plan_keys",
+    "feature_key", "ledger_feedback", "ledger_path_for", "order_tasks",
+    "plan_keys",
     "predict_plan",
 ]

@@ -31,7 +31,6 @@ from .events import (
     EmitFn,
     RunFinished,
     SOURCE_CACHE,
-    SOURCE_EXECUTED,
     SOURCE_JOURNAL,
     StageFinished,
     TaskFinished,
@@ -44,6 +43,7 @@ from .pool import WorkerPool
 from .predict import (
     DISPATCH_LPT,
     DurationLedger,
+    ledger_feedback,
     ledger_path_for,
     order_tasks,
     plan_keys,
@@ -141,17 +141,19 @@ def execute_tasks(tasks: Dict[str, TaskSpec], results: Dict[str, dict],
 
     Sample-cache hits settle first; the rest run on ``pool`` (see
     :func:`harness_pool`) in ``dispatch`` order.  Each settled payload
-    lands in ``results`` (updated in place) and, unless its status is
-    transient, in ``journal`` before its event reaches ``sink``
-    (journal-then-notify).  Cache entries are written behind the result
+    whose status is not transient lands in ``results`` (updated in
+    place) and ``journal`` before its event reaches ``sink``
+    (journal-then-notify); transient ones land in ``results`` only when
+    the pool run returns.  Cache entries are written behind the result
     loop by one thread; every entry is on disk when this returns.  The
     journal is group-committed once per drain cycle, then ``on_drain``
     runs.
 
     Returns the pool's failures: task id -> last error, for tasks that
     exhausted their retry budget.  If the pool loop itself dies, the
-    exception propagates and ``journal`` still holds every task it
-    reported, so the caller can replay it and call again.
+    exception propagates and ``results`` still holds every
+    non-transient task the sink was told about, so a second call with
+    the same map executes only the rest.
     """
     remaining = []
     for task_id, spec in tasks.items():
@@ -177,6 +179,7 @@ def execute_tasks(tasks: Dict[str, TaskSpec], results: Dict[str, dict],
     def on_result(task_id: str, payload: dict) -> None:
         if str(payload.get("status", "")) in TRANSIENT_STATUSES:
             return                      # never persist infra failures
+        results[task_id] = payload
         if journal is not None:
             journal.append(task_id, payload)
         if writer is not None:
@@ -254,16 +257,10 @@ def run_scheduled(
         ledger_path = ledger_path_for(sample_cache_dir)
     ledger = (DurationLedger(ledger_path)
               if ledger_path is not None else None)
-    keys = plan_keys(plan)
     predictions = predict_plan(plan, runner, ledger)
 
-    def observe_duration(event: object) -> None:
-        if (ledger is not None and isinstance(event, TaskFinished)
-                and event.source == SOURCE_EXECUTED
-                and event.task_id in keys):
-            ledger.observe(keys[event.task_id], event.duration)
-
-    sink = chain(observe_duration, telemetry, emit)
+    sink = chain(ledger_feedback(ledger, plan_keys(plan))
+                 if ledger is not None else None, telemetry, emit)
     sink(StageFinished(stage="plan", seconds=time.monotonic() - stage))
 
     stage = time.monotonic()

@@ -4,13 +4,13 @@ The serving layer turns the batch evaluation pipeline into a long-lived
 service: clients submit evaluation requests (model, benchmark slice,
 samples, seed), concurrent requests are micro-batched into one shared
 job graph with cross-request content deduplication, the merged task set
-runs on one worker pool with a batch resume journal, and each request's
-result is reassembled byte-identical to what a direct ``evaluate_model``
-call would have produced.  See ``docs/serving.md``.
+runs on one worker pool (restarted on fresh workers after a pool-loop
+death, keeping every task already settled), and each request's result
+is reassembled byte-identical to what a direct ``evaluate_model`` call
+would have produced.  See ``docs/serving.md``.
 """
 
 from .batcher import (
-    batch_key,
     plan_batch,
     plan_request,
     union_tasks,
@@ -38,7 +38,6 @@ __all__ = [
     "ServiceClient",
     "ServiceClosed",
     "ServiceMetrics",
-    "batch_key",
     "http_request",
     "plan_batch",
     "plan_request",

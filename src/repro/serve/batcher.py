@@ -15,7 +15,6 @@ only routes them.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Sequence
 
 from ..bench.registry import PCGBench
@@ -51,15 +50,4 @@ def union_tasks(plans: Sequence[Plan]) -> Dict[str, TaskSpec]:
     return union
 
 
-def batch_key(union: Dict[str, TaskSpec]) -> str:
-    """Digest identifying one batch's merged task set — the run key of
-    the batch journal, stable across pool restarts within the batch
-    (sorted, so request order cannot change it)."""
-    digest = hashlib.sha256()
-    for task_id in sorted(union):
-        digest.update(task_id.encode())
-        digest.update(b"\x00")
-    return digest.hexdigest()[:24]
-
-
-__all__ = ["plan_request", "plan_batch", "union_tasks", "batch_key"]
+__all__ = ["plan_request", "plan_batch", "union_tasks"]

@@ -79,7 +79,8 @@ class ServiceMetrics:
         self.batched_requests = 0
         self.tasks_planned = 0      # naive sum over per-request plans
         self.tasks_unique = 0       # after cross-request content dedup
-        #: pool-loop deaths a batch recovered from by journal replay
+        #: pool-loop deaths a batch recovered from by re-running its
+        #: unsettled tasks on fresh workers
         self.batch_restarts = 0
         #: the one pool tally: every batch's scheduler events, folded per
         #: event (:meth:`observe`) — task provenance, worker counters,
@@ -187,6 +188,8 @@ class ServiceMetrics:
                 "tasks_deduped": self.tasks_planned - self.tasks_unique,
                 "tasks_executed": t.executed,
                 "tasks_from_cache": t.from_cache,
+                # always 0 (a service batch replays no journal): kept
+                # only because the pipeline benchmark reads it
                 "tasks_from_journal": t.from_journal,
                 "tasks_failed": t.failed,
                 "tasks_quarantined": t.quarantined,

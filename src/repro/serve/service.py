@@ -16,11 +16,12 @@
    by content hash (:mod:`repro.serve.batcher`).  The merged set runs in
    longest-predicted-first order on the service's one worker pool,
    through the same executor ``run_scheduled`` uses
-   (:func:`repro.sched.scheduler.execute_tasks`), journaled to
-   ``workdir/batch.journal.jsonl``.  The pool forks its workers at the
-   first batch and keeps them until :meth:`EvalService.shutdown`.  If
-   the pool loop dies, its workers stop; the batch replays that journal
-   and re-executes only the remainder on fresh workers, up to
+   (:func:`repro.sched.scheduler.execute_tasks`), which records each
+   task in the batch's result map as it settles.  The pool forks its
+   workers at the first batch and keeps them until
+   :meth:`EvalService.shutdown`.  If the pool loop dies, its workers
+   stop; the batch calls the executor again on the same map, which
+   re-executes only the remainder on fresh workers, up to
    :data:`BATCH_RESTARTS` times.  All of this runs in an executor
    thread, so the event loop stays responsive for status polls.
 4. **Demultiplexing**: each ticket's :class:`~repro.harness.evaluate.EvalRun`
@@ -55,19 +56,24 @@ from ..sched.events import (
     TaskFinished,
     chain,
 )
-from ..sched.journal import Journal, SampleCache
+from ..sched.journal import SampleCache
 from ..sched.plan import Plan, TaskSpec, assemble
-from ..sched.predict import DurationLedger, plan_keys, predict_plan
-from ..sched.scheduler import execute_tasks, harness_pool, replay_journal
+from ..sched.predict import (
+    DurationLedger,
+    ledger_feedback,
+    plan_keys,
+    predict_plan,
+)
+from ..sched.scheduler import execute_tasks, harness_pool
 from ..sched.worker import failure_payload
-from .batcher import batch_key, plan_batch, union_tasks
+from .batcher import plan_batch, union_tasks
 from .metrics import ServiceMetrics
 
 #: ledger key tracking whole-batch wall time across service restarts —
 #: warm-starts the Retry-After EMA before the first batch completes
 BATCH_EMA_KEY = "serve|batch||wall"
 
-#: times a batch replays its journal and re-runs the remainder after its
+#: times a batch re-runs its unsettled tasks on fresh workers after its
 #: pool loop dies; tasks still unsettled after that become failures
 BATCH_RESTARTS = 2
 
@@ -83,7 +89,8 @@ TERMINAL = frozenset({DONE, FAILED, EXPIRED})
 def _death_probe(event: object) -> None:
     """Consult the ``serve.batch.die`` injection point after each
     executed task; a matching rule aborts the batch's pool loop (the
-    journal already holds the task — journal-then-notify)."""
+    batch's result map already holds the task — it is recorded before
+    its event)."""
     if (inject.ACTIVE is not None and isinstance(event, TaskFinished)
             and event.source == SOURCE_EXECUTED
             and inject.ACTIVE.fire("serve.batch.die", "batch") is not None):
@@ -425,48 +432,29 @@ class EvalService:
                    ) -> Dict[str, dict]:
         """Settle one batch's merged task set; survives pool-loop deaths.
 
-        Attempt 0 starts a fresh batch journal.  A pool-loop death stops
-        the pool's workers; each restart replays the journal and
-        executes only the remainder on fresh ones, so a death costs at
-        most the tasks in flight.  Once the restarts are spent, the journal is
-        salvaged and every task still unsettled becomes a failure
-        payload.  Runs in the executor thread.
+        :func:`execute_tasks` puts each settled task into ``results`` as
+        it settles.  A pool-loop death stops the pool's workers; each
+        restart calls it again on the same map, so only the remainder
+        runs, on fresh workers, and a death costs at most the tasks in
+        flight.  Once the restarts are spent, every task still unsettled
+        becomes a failure payload.  Runs in the executor thread.
         """
-        def observe(event: object) -> None:
-            if (isinstance(event, TaskFinished)
-                    and event.source == SOURCE_EXECUTED
-                    and event.task_id in task_keys):
-                self.ledger.observe(task_keys[event.task_id],
-                                    event.duration)
-
-        key = batch_key(union)
-        sink = chain(observe, self.metrics.observe)
+        sink = chain(ledger_feedback(self.ledger, task_keys),
+                     self.metrics.observe, _death_probe)
         cache = (SampleCache(self.cache_dir)
                  if self.cache_dir is not None else None)
-        journal = Journal(self.workdir / "batch.journal.jsonl")
         results: Dict[str, dict] = {}
         failures: Dict[str, str] = {}
         error = ""
-        try:
-            for attempt in range(BATCH_RESTARTS + 1):
-                if attempt:
-                    self.metrics.record_restart()
-                    replay_journal(journal, key, union, results, sink)
-                journal.start(key, fresh=(attempt == 0))
-                try:
-                    failures = execute_tasks(
-                        union, results, self._pool,
-                        chain(sink, _death_probe), journal=journal,
-                        cache=cache, predictions=predictions)
-                    break
-                except Exception as exc:    # noqa: BLE001 - pool-loop death
-                    error = f"{type(exc).__name__}: {exc}"
-                    journal.close()     # the next attempt reloads it
-            else:
-                # restarts spent: keep whatever the journal committed
-                replay_journal(journal, key, union, results, sink)
-        finally:
-            journal.close()
+        for attempt in range(BATCH_RESTARTS + 1):
+            if attempt:
+                self.metrics.record_restart()
+            try:
+                failures = execute_tasks(union, results, self._pool, sink,
+                                         cache=cache, predictions=predictions)
+                break
+            except Exception as exc:    # noqa: BLE001 - pool-loop death
+                error = f"{type(exc).__name__}: {exc}"
         for task_id, spec in union.items():
             if task_id not in results:
                 results[task_id] = failure_payload(spec.kind, failures.get(

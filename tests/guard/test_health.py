@@ -3,7 +3,6 @@
 import dataclasses
 
 from repro.guard import (
-    DEFAULT_POLICY,
     GuardPolicy,
     HealthLedger,
     VERDICT_POISON,
@@ -49,16 +48,16 @@ class TestVerdicts:
 class TestRegister:
     def test_quarantine_register(self):
         ledger = HealthLedger()
-        assert not ledger.is_quarantined("t")
+        assert "t" not in ledger.quarantined
         ledger.quarantine("t", "why")
-        assert ledger.is_quarantined("t")
         assert ledger.quarantined == {"t": "why"}
 
     def test_deaths_are_readable(self):
         ledger = HealthLedger()
         ledger.record_death("t", 3, "timeout", "deadline")
-        assert ledger.deaths("t") == [(3, "timeout", "deadline")]
         assert ledger.distinct_workers("t") == {3}
+        assert ledger.fingerprint("t") \
+            == "poison task: killed 1 distinct workers (timeout)"
 
 
 class TestFingerprint:
@@ -86,8 +85,8 @@ class TestFingerprint:
 
 class TestPolicy:
     def test_defaults(self):
-        assert DEFAULT_POLICY.quarantine is True
-        assert DEFAULT_POLICY.poison_threshold == 2
+        assert GuardPolicy().quarantine is True
+        assert GuardPolicy().poison_threshold == 2
 
     def test_policy_is_frozen(self):
         import pytest

@@ -63,13 +63,6 @@ class TestJournal:
         journal.close()
         assert Journal(path).load("key1") == {}
 
-    def test_discard_removes_file(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = Journal(path)
-        journal.start("key1", fresh=True)
-        journal.discard()
-        assert not path.exists()
-
     def test_journal_path_for_slash_safe(self, tmp_path):
         path = journal_path_for(tmp_path, "Phind/V2", 8, 0.2, True, 3)
         assert "/" not in path.name
@@ -199,7 +192,6 @@ class TestSampleCache:
         assert cache.get(tid) is None
         cache.put(tid, {"status": "correct", "times": {"4": 0.25}})
         assert cache.get(tid) == {"status": "correct", "times": {"4": 0.25}}
-        assert tid in cache
 
     def test_sharded_layout(self, tmp_path):
         cache = SampleCache(tmp_path)
@@ -222,7 +214,6 @@ class TestSampleCache:
         text = path.read_text().replace("correct", "cOrrect")
         path.write_text(text)
         assert cache.get(tid) is None
-        assert tid not in cache
 
     def test_legacy_unwrapped_entry_is_a_miss(self, tmp_path):
         cache = SampleCache(tmp_path)

@@ -14,6 +14,9 @@ from repro.sched import (
     DurationLedger,
     PRED_ESTIMATOR,
     PRED_LEDGER,
+    SOURCE_CACHE,
+    SOURCE_EXECUTED,
+    TaskFinished,
     feature_key,
     ledger_path_for,
     order_tasks,
@@ -21,7 +24,7 @@ from repro.sched import (
     predict_plan,
 )
 from repro.sched.plan import build_plan
-from repro.sched.predict import _COMPACT_AT
+from repro.sched.predict import _COMPACT_AT, _RECENT_CAP, ledger_feedback
 
 
 class TestFeatureKey:
@@ -42,7 +45,6 @@ class TestDurationLedger:
     def test_cold_key_predicts_none(self, tmp_path):
         ledger = DurationLedger(tmp_path / "d.jsonl")
         assert ledger.predict("sample|relu|serial|plain") is None
-        assert ledger.quantile("sample|relu|serial|plain", 0.95) is None
 
     def test_observe_predict_round_trip(self, tmp_path):
         ledger = DurationLedger(tmp_path / "d.jsonl")
@@ -51,7 +53,6 @@ class TestDurationLedger:
         # EMA with alpha=0.3 pulls toward the new observation
         ledger.observe("k", 4.0)
         assert ledger.predict("k") == pytest.approx(0.3 * 4.0 + 0.7 * 2.0)
-        assert ledger.quantile("k", 1.0) == pytest.approx(4.0)
 
     def test_persists_across_instances(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -59,7 +60,8 @@ class TestDurationLedger:
             ledger.observe("k", 1.5)
         reloaded = DurationLedger(path)
         assert reloaded.predict("k") == pytest.approx(1.5)
-        assert reloaded.keys == 1
+        assert [json.loads(line)["k"] for line
+                in path.read_text().splitlines()] == ["k"]
 
     def test_concurrent_appends_merge_on_load(self, tmp_path):
         # two processes appending to the same file: both histories count
@@ -108,7 +110,8 @@ class TestDurationLedger:
         assert all(rec["kind"] == "summary" for rec in lines)
         reloaded = DurationLedger(path)
         assert reloaded.predict("key-0") == pytest.approx(before)
-        assert reloaded.quantile("key-0", 0.95) is not None
+        # each summary carries the key's recent window
+        assert all(len(rec["recent"]) == _RECENT_CAP for rec in lines)
 
     def test_unwritable_directory_degrades_gracefully(self, tmp_path):
         # a file path whose parent is an existing *file*: open fails, but
@@ -120,6 +123,21 @@ class TestDurationLedger:
         ledger.flush()
         ledger.close()
         assert ledger.predict("k") == pytest.approx(1.0)
+
+
+class TestLedgerFeedback:
+    def test_only_executed_tasks_with_a_key_are_observed(self, tmp_path):
+        ledger = DurationLedger(tmp_path / "d.jsonl")
+        sink = ledger_feedback(ledger, {"t1": "k1", "t2": "k2"})
+        sink(TaskFinished(task_id="t1", kind="sample",
+                          source=SOURCE_EXECUTED, duration=2.0))
+        sink(TaskFinished(task_id="t2", kind="sample",
+                          source=SOURCE_CACHE, duration=5.0))
+        sink(TaskFinished(task_id="t3", kind="sample",
+                          source=SOURCE_EXECUTED, duration=7.0))
+        sink("not an event")
+        assert ledger.predict("k1") == pytest.approx(2.0)
+        assert ledger.predict("k2") is None
 
 
 class TestCostEstimator:

@@ -16,9 +16,11 @@ from repro.sched import (
     TaskFinished,
     Telemetry,
     WorkerPool,
+    chain,
     run_scheduled,
 )
-from repro.sched.scheduler import harness_pool
+from repro.sched.plan import build_plan
+from repro.sched.scheduler import execute_tasks, harness_pool
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +90,16 @@ class TestResumability:
         assert len(journaled) >= self.K
 
         telemetry = Telemetry()
+        events = []
         resumed = evaluate_model(llm, bench, num_samples=3, temperature=0.2,
                                  with_timing=True, seed=7, jobs=2,
                                  journal=str(journal), resume=True,
-                                 events=telemetry)
+                                 events=chain(telemetry, events.append))
         # no finished task was recomputed ...
-        assert journaled.isdisjoint(telemetry.executed_ids())
+        executed = {e.task_id for e in events
+                    if isinstance(e, TaskFinished)
+                    and e.source == SOURCE_EXECUTED}
+        assert executed and journaled.isdisjoint(executed)
         assert telemetry.from_journal == len(journaled)
         assert telemetry.executed + telemetry.from_journal == \
             telemetry.total
@@ -125,6 +131,34 @@ class TestResumability:
     def test_resume_requires_journal(self, llm, bench):
         with pytest.raises(ConfigurationError):
             evaluate_model(llm, bench, num_samples=2, resume=True)
+
+
+class TestExecuteTasks:
+    K = 3
+
+    def test_abort_keeps_settled_tasks_and_a_second_call_runs_the_rest(
+            self, llm, bench):
+        runner = Runner()
+        plan = build_plan(llm, bench, 2, 0.2, False, runner, 3)
+        results = {}
+        first = Telemetry()
+        with harness_pool(runner, 2) as pool:
+            with pytest.raises(SchedulerAbort):
+                execute_tasks(plan.tasks, results, pool,
+                              chain(first, _AbortAfter(self.K)))
+            settled = dict(results)
+            # the K tasks the sink was told about, and nothing else
+            assert set(settled) == {
+                t for t, s in first.provenance.items()
+                if s == SOURCE_EXECUTED}
+            assert len(settled) == self.K < len(plan.tasks)
+            second = Telemetry()
+            failures = execute_tasks(plan.tasks, results, pool, second)
+        assert failures == {}
+        assert second.executed == len(plan.tasks) - self.K
+        assert set(second.provenance).isdisjoint(settled)
+        assert all(results[t] is settled[t] for t in settled)
+        assert set(results) == set(plan.tasks)
 
 
 class TestSystemErrorResampling:

@@ -1,18 +1,18 @@
-"""The service's one worker pool, through a live service: the batch
-journal key, a clean batch, journal resume after an injected pool-loop
-death, journal salvage when the restarts run out, warm-ledger dispatch,
-and workers that live from the first batch until shutdown."""
+"""The service's one worker pool, through a live service: a clean
+batch, a restart after an injected pool-loop death that re-runs only the
+unsettled tasks, the settled verdicts kept when the restarts run out,
+warm-ledger dispatch, and workers that live from the first batch until
+shutdown."""
 
-import json
 import multiprocessing as mp
 
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, injector
 from repro.harness import Runner
-from repro.sched import TRANSIENT_STATUSES, WorkerPool
+from repro.sched import SOURCE_EXECUTED, WorkerPool
 from repro.serve import ServiceClient, plan_request
-from repro.serve.batcher import batch_key, union_tasks
+from repro.serve.batcher import union_tasks
 from repro.serve.service import BATCH_RESTARTS, DONE
 
 from .conftest import make_request, run_with_service
@@ -34,14 +34,6 @@ def _die(occurrences):
                   occurrences=occurrences),), seed=0)
 
 
-class TestBatchKey:
-    def test_batch_key_is_order_insensitive(self, union):
-        items = list(union.items())
-        reversed_union = dict(reversed(items))
-        assert batch_key(union) == batch_key(reversed_union)
-        assert batch_key(union) != batch_key(dict(items[:1]))
-
-
 class TestBatchPool:
     def test_clean_batch_executes_every_task_once(self, tmp_path, union,
                                                   direct_run):
@@ -57,18 +49,22 @@ class TestBatchPool:
         assert snap["shards"]["0"]["tasks"] == len(union)
         assert service.telemetry.executed == len(union)
 
-    def test_injected_death_resumes_from_the_batch_journal(self, tmp_path,
-                                                           direct_run):
+    def test_injected_death_reruns_only_the_unsettled_tasks(
+            self, tmp_path, union, direct_run):
         with injector(_die((0,))):
             run, service = run_with_service(tmp_path, _evaluate)
         snap = service.metrics_snapshot()
         assert snap["batch_restarts"] == 1
-        # journal-then-notify: the task that executed just before the
-        # death was already committed, so the restart replays it
-        assert snap["tasks_from_journal"] >= 1
+        # the task that executed just before the death was already in
+        # the batch's result map, so the restart runs each other task
+        # once and none twice; nothing is read back from disk
+        assert snap["tasks_executed"] == len(union)
+        assert snap["tasks_from_journal"] == 0
         assert run.digest() == direct_run.digest()
+        assert not list(tmp_path.glob("*journal*"))
 
-    def test_restarts_exhausted_salvage_the_journal(self, tmp_path, union):
+    def test_restarts_exhausted_keep_the_settled_verdicts(
+            self, tmp_path, union, direct_run):
         # die after every executed task: each restart re-dies as soon as
         # its first task finishes, until the restarts are spent
         async def go(service):
@@ -82,23 +78,25 @@ class TestBatchPool:
         assert snap["batch_restarts"] == BATCH_RESTARTS
         # the batch degraded, it did not fail
         assert ticket.status == DONE
-        # salvage: the tasks committed before each death survive
-        assert snap["tasks_from_journal"] >= 1
-        records = [json.loads(line) for line in
-                   (tmp_path / "batch.journal.jsonl").read_text()
-                   .splitlines()[1:]]
-        journaled = {r["task"] for r in records}
-        assert journaled and len(journaled) < len(union)
-        for record in records:
-            assert record["result"].get("status") \
-                not in TRANSIENT_STATUSES
-        # every journaled task is settled in the served run, the last
-        # attempt's included; only the lost ones are system_error
+        # one executed task per attempt, each settled before its death
+        executed = {tid for tid, source
+                    in service.telemetry.provenance.items()
+                    if source == SOURCE_EXECUTED}
+        assert len(executed) == BATCH_RESTARTS + 1 < len(union)
+        # every settled task keeps its verdict; only the lost ones are
+        # system_error
         for pp in ticket.plan.prompts:
             samples = ticket.run.prompts[pp.uid].samples
+            direct = direct_run.prompts[pp.uid].samples
             for slot in pp.slots:
-                lost = samples[slot.sample_index].status == "system_error"
-                assert lost == (slot.task_id not in journaled)
+                got = samples[slot.sample_index]
+                if slot.task_id in executed:
+                    want = direct[slot.sample_index]
+                    assert (got.status, got.detail) \
+                        == (want.status, want.detail)
+                else:
+                    assert got.status == "system_error"
+                    assert "batch restarts exhausted" in got.detail
 
     def test_warm_ledger_service_hits_and_matches(self, tmp_path,
                                                   direct_run):
