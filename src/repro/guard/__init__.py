@@ -7,7 +7,7 @@ unguarded run* — except the quarantine lane, which exists precisely to
 report a task the infrastructure refuses to keep executing.
 
 * :class:`HealthLedger` (``health``) — classifies worker deaths per
-  task: a task that kills ``poison_threshold`` *distinct* workers is
+  task: a task that kills ``POISON_THRESHOLD`` *distinct* workers is
   poison, not unlucky, and is quarantined instead of burning the retry
   budget forever.
 * :func:`run_supervised` (``supervisor``) — crash-only recovery: a
@@ -21,16 +21,16 @@ guarantee; the ``guard-resilience`` chaos invariant
 """
 
 from .health import (
-    GuardPolicy,
     HealthLedger,
+    POISON_THRESHOLD,
     VERDICT_POISON,
     VERDICT_TRANSIENT,
 )
 from .supervisor import SupervisedResult, crash_resume_sweep, run_supervised
 
 __all__ = [
-    "GuardPolicy",
     "HealthLedger",
+    "POISON_THRESHOLD",
     "SupervisedResult",
     "VERDICT_POISON",
     "VERDICT_TRANSIENT",

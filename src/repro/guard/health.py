@@ -3,7 +3,7 @@
 The pool's retry budget treats every failure the same way; the ledger
 does not.  A worker that dies *while running a task* leaves a death
 fingerprint on that task, and a task whose fingerprints span
-``poison_threshold`` distinct workers is reclassified from "unlucky"
+``POISON_THRESHOLD`` distinct workers is reclassified from "unlucky"
 to "poison": the task itself (an infinite loop, an OOM, a segfaulting
 interpreter path) is what kills workers, and retrying it anywhere only
 burns more of them.  Poison tasks move to the ``quarantined`` status
@@ -20,34 +20,19 @@ property the ``guard-resilience`` chaos invariant asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 #: verdicts from :meth:`HealthLedger.record_death`
 VERDICT_TRANSIENT = "transient"
 VERDICT_POISON = "poison"
-
-
-@dataclass(frozen=True)
-class GuardPolicy:
-    """Supervision knobs threaded into the pool, scheduler, and service.
-
-    Everything here is throughput policy, never correctness policy: any
-    two policies produce byte-identical ``EvalRun``\\ s except for which
-    tasks land in the ``quarantined`` lane (controlled by
-    ``quarantine``/``poison_threshold``).
-    """
-
-    #: move poison tasks to the quarantined lane instead of retrying
-    quarantine: bool = True
-    #: distinct workers a task must kill to be classified poison
-    poison_threshold: int = 2
+#: distinct workers a task must kill to be classified poison
+POISON_THRESHOLD = 2
 
 
 class HealthLedger:
     """Per-task record of worker deaths and the quarantine register."""
 
-    def __init__(self, poison_threshold: int = 2):
+    def __init__(self, poison_threshold: int = POISON_THRESHOLD):
         self.poison_threshold = max(1, poison_threshold)
         #: task id -> [(worker, kind, detail), ...]
         self._deaths: Dict[str, List[Tuple[int, str, str]]] = {}
@@ -87,5 +72,5 @@ class HealthLedger:
                 f"distinct workers ({kinds or 'crash'})")
 
 
-__all__ = ["GuardPolicy", "HealthLedger",
+__all__ = ["HealthLedger", "POISON_THRESHOLD",
            "VERDICT_POISON", "VERDICT_TRANSIENT"]

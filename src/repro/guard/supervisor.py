@@ -16,8 +16,9 @@ against the reference — the whole-process analogue of the
 kill-at-every-journal-index chaos invariant.
 
 Workers orphaned by the SIGKILL (the pool's child processes survive
-their parent's death) notice their parent changed underneath them and
-exit on their own — see ``_worker_main`` in :mod:`repro.sched.pool`.
+their parent's death) check their parent's pid while they wait on
+their own task pipe, and exit on their own once it has changed — see
+``_worker_main`` in :mod:`repro.sched.pool`.
 
 Fork is required: the benchmark and model objects carry numpy closures
 that cannot cross a spawn boundary.

@@ -80,7 +80,6 @@ class WorkerReplaced:
 class ProgressSnapshot:
     done: int
     total: int
-    queue_depth: int            # tasks dispatched but not finished
     busy_workers: int
     workers: int
 
@@ -285,8 +284,7 @@ class ProgressPrinter:
                                or event.done == event.total):
                 self.write(
                     f"sched: {event.done}/{event.total} tasks, "
-                    f"{event.busy_workers}/{event.workers} workers busy, "
-                    f"queue depth {event.queue_depth}"
+                    f"{event.busy_workers}/{event.workers} workers busy"
                 )
         elif isinstance(event, WorkerCrashed):
             self.write(f"sched: worker {event.worker} crashed "

@@ -98,7 +98,7 @@ class TaskSpec:
     profile: bool = False           # sample tasks: record a cost profile
 
     def payload(self) -> Dict[str, object]:
-        """The picklable message sent through the task queue."""
+        """The picklable message handed to a worker on its task pipe."""
         if self.kind == KIND_SAMPLE:
             return {"kind": self.kind, "uid": self.prompt_uid,
                     "source": self.source, "with_timing": self.with_timing,

@@ -1,4 +1,4 @@
-"""A fault-isolated multiprocessing worker pool with a bounded queue.
+"""A fault-isolated multiprocessing worker pool, one pipe pair per worker.
 
 The pool is deliberately generic — it moves ``(task_id, payload)`` pairs
 to N worker processes and results back — so the fault-handling logic can
@@ -6,25 +6,31 @@ be unit-tested with synthetic crash/hang/raise tasks independently of the
 harness.  :mod:`repro.sched.worker` supplies the harness-specific init
 and execute functions.
 
+Each worker has a task pipe and a result pipe of its own, and holds at
+most one task: the parent hands the next task to a worker only once the
+worker is idle, and that hand-off starts the task's deadline.  No lock
+is shared between workers, so no worker's death, wherever it happens,
+can block another.
+
 Fault model (the part a naive ``multiprocessing.Pool`` gets wrong):
 
 * a task that **raises** inside a worker is reported and requeued, up to
   ``max_retries`` extra attempts, then recorded as a failure; retries
-  queue strictly *behind* pending fresh work, so a retry storm can never
-  starve the queue tail;
+  wait strictly *behind* pending fresh work, so a retry storm can never
+  starve the tail of the run;
 * a worker that **dies** (segfault, ``os._exit``, OOM-kill) is detected
-  by liveness polling; its in-flight task is requeued and a replacement
-  worker is spawned — the run never dies with it, even when the worker
-  died idle (idle workers wait for work without holding the task
-  queue's lock, :func:`_next_task`) or just after it reported (each
-  worker reports on a pipe of its own, so no lock is shared, and what
-  it wrote before it died is still read);
+  by liveness polling, or by a broken task pipe when the parent hands it
+  a task; the task it held is requeued (uncharged if it still sat
+  unread in the pipe) and a replacement worker is spawned — the run
+  never dies with it, and what the worker reported before it died is
+  still read;
 * a task that **hangs** past ``task_timeout`` gets its worker terminated
   and is treated like a crash;
-* a task that kills ``poison_threshold`` *distinct* workers is **poison**
-  (the task, not the machine, is what kills workers) and is moved to the
-  ``quarantined`` lane by the :class:`~repro.guard.health.HealthLedger`
-  instead of burning budget forever;
+* a task that kills :data:`~repro.guard.health.POISON_THRESHOLD`
+  *distinct* workers is **poison** (the task, not the machine, is what
+  kills workers) and is moved to the ``quarantined`` lane by the
+  :class:`~repro.guard.health.HealthLedger` instead of burning budget
+  forever;
 * repeated crashes exhaust a crash budget (``max_crashes``) that fails
   the remaining tasks instead of respawning forever.
 
@@ -38,29 +44,32 @@ Lifetime: the caller owns the pool, best in a ``with`` block.  The
 first :meth:`WorkerPool.run` with work forks the workers; they serve
 every later run until :meth:`WorkerPool.close` (the block's end), so
 many task sets share one fork and a caller with no task forks nothing.
-Retries, deadlines, quarantine and the crash budget are per run; if a
-worker died between runs, the next run starts on fresh workers and
-queues; any exception out of ``run()`` closes the workers, so the next
-``run()`` starts on fresh ones.  Messages about a task the current run
-did not dispatch (a late copy from an earlier run) are dropped.
+Retries, deadlines, quarantine and the crash budget are per run; a
+worker that died between runs is replaced on its own by the next run,
+and any exception out of ``run()`` closes the workers, so the next
+``run()`` starts on fresh ones.  A run ends with no worker holding a
+task — it terminates any that still does — so no result of one run can
+reach the next.
 
 Workers poll their parent pid while idle: if the whole scheduler process
 is SIGKILLed (``repro.guard.supervisor``), the orphaned workers notice
-the reparenting and exit instead of blocking on the task queue forever.
+the reparenting and exit instead of waiting on their task pipe forever.
 """
 
 from __future__ import annotations
 
+import array
+import fcntl
 import multiprocessing as mp
 import os
-import queue as stdlib_queue
+import termios
 import time
 from collections import deque
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..faults import inject
-from ..guard.health import GuardPolicy, HealthLedger, VERDICT_POISON
+from ..guard.health import HealthLedger, VERDICT_POISON
 from .events import (
     EmitFn,
     ProgressSnapshot,
@@ -80,8 +89,6 @@ if TYPE_CHECKING:
 
 #: parent-side poll interval for results / liveness, seconds
 _POLL = 0.05
-#: seconds of total silence before sweeping for orphaned tasks
-_STALL_SWEEP = 2.0
 #: idle-worker wakeup interval for the orphaned-parent check, seconds
 _ORPHAN_POLL = 1.0
 
@@ -138,31 +145,27 @@ def _drain(conns: Dict[int, Connection], wid: int) -> List[tuple]:
     return messages
 
 
-def _next_task(task_q, timeout: float):
-    """Wait up to ``timeout`` for the next task; raises ``queue.Empty``.
-
-    ``Queue.get(timeout=...)`` waits while holding the queue's read lock,
-    so a worker killed while idle (an OOM kill, a stray SIGKILL) would
-    leave that lock held and every other worker blocked for good.  Wait
-    on the pipe without the lock, and take the lock only to read."""
-    reader = getattr(task_q, "_reader", None)
-    if reader is None:                  # pragma: no cover - fallback path
-        return task_q.get(timeout=timeout)
-    if not reader.poll(timeout):
-        raise stdlib_queue.Empty
-    return task_q.get_nowait()         # Empty if another worker won
+def _unread(conn: Connection) -> bool:
+    """Whether bytes sent on ``conn``, the write end of a worker's task
+    pipe, still wait in the pipe: a worker that died with its task
+    unread never took it."""
+    count = array.array("i", [0])
+    fcntl.ioctl(conn.fileno(), termios.FIONREAD, count)
+    return count[0] > 0
 
 
 def _worker_main(worker_id: int, init_fn: Optional[Callable],
                  init_args: tuple, work_fn: Callable,
-                 task_q: "mp.Queue", result_conn: Connection) -> None:
-    """Worker loop: init once, then execute tasks until the sentinel;
-    every message goes to the parent on this worker's own pipe.
+                 task_q: Connection, result_conn: Connection) -> None:
+    """Worker loop: init once and report ``ready``, then execute the
+    tasks the parent hands over on ``task_q`` (this worker's own pipe)
+    until the ``None`` sentinel; every message goes to the parent on
+    ``result_conn``, this worker's own result pipe.
 
     Every exception is caught and reported — a worker only ever exits via
     the sentinel, by being killed from outside, or by noticing its parent
     process vanished (a whole-process SIGKILL reparents the worker; an
-    orphan must not sit on ``task_q.get()`` forever).
+    orphan must not wait on ``task_q`` forever).
     """
     # the forking parent's pid; getppid() may already name the reaper
     parent_pid = mp.parent_process().pid
@@ -172,18 +175,19 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
         result_conn.send(("init_error", worker_id, None,
                           f"{type(exc).__name__}: {exc}", 0.0))
         return
+    result_conn.send(("ready", worker_id, None, None, 0.0))
     while True:
         try:
-            item = _next_task(task_q, _ORPHAN_POLL)
-        except stdlib_queue.Empty:
-            if os.getppid() != parent_pid:
-                os._exit(0)         # orphaned: the scheduler was killed
-            continue
+            if not task_q.poll(_ORPHAN_POLL):
+                if os.getppid() != parent_pid:
+                    os._exit(0)     # orphaned: the scheduler was killed
+                continue
+            item = task_q.recv()
+        except EOFError:
+            return                  # every copy of the write end is gone
         if item is None:
-            result_conn.send(("bye", worker_id, None, None, 0.0))
             return
         task_id, attempt, payload = item
-        result_conn.send(("start", worker_id, task_id, None, 0.0))
         if inject.ACTIVE is not None:
             # fork-inherited injector: keys carry the attempt index so a
             # kill rule matching "#a0" takes down only the first dispatch
@@ -205,17 +209,16 @@ def _worker_main(worker_id: int, init_fn: Optional[Callable],
 
 
 class WorkerPool:
-    """N worker processes fed from a bounded task queue."""
+    """N worker processes, each handed one task at a time on its own
+    pipe."""
 
     def __init__(self, jobs: int, work_fn: Callable,
                  init_fn: Optional[Callable] = None,
                  init_args: tuple = (),
                  task_timeout: Optional[float] = 300.0,
                  max_retries: int = 2,
-                 queue_bound: Optional[int] = None,
                  max_crashes: Optional[int] = None,
                  validate: Optional[Callable[[dict, object], bool]] = None,
-                 guard: Optional[GuardPolicy] = None,
                  quarantine: Optional[Callable[[str, str], dict]] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -230,61 +233,50 @@ class WorkerPool:
         #: channel) is treated exactly like a raised exception: requeued
         #: up to the retry budget, never reported to ``on_result``
         self.validate = validate
-        self.queue_bound = queue_bound or max(2 * jobs, 4)
         self.max_crashes = max_crashes if max_crashes is not None \
             else 4 * jobs + 4
-        #: supervision policy (poison-task quarantine); defaults on
-        self.guard = guard or GuardPolicy()
         #: ``(kind, detail) -> payload`` factory for quarantined tasks;
         #: without one a poison task fails fast through the failure lane
         #: (the ledger still short-circuits its remaining retries)
         self.quarantine = quarantine
         self._ctx = _pool_context()
-        # set by start(), cleared by close()
-        self._task_q = None
         self._procs: Dict[int, mp.process.BaseProcess] = {}
+        #: worker id → the write end of that worker's task pipe
+        self._tasks: Dict[int, Connection] = {}
         #: worker id → the read end of that worker's result pipe
         self._conns: Dict[int, Connection] = {}
+        #: workers that reported ``ready`` or a result and hold no task,
+        #: longest idle first; they stay idle across runs
+        self._idle: Deque[int] = deque()
         self._next_wid = 0
 
     # -- lifetime ------------------------------------------------------------
 
     @property
     def started(self) -> bool:
-        return self._task_q is not None
+        return bool(self._procs)
 
     def start(self) -> "WorkerPool":
-        """Fork the workers and keep them across :meth:`run` calls until
-        :meth:`close`; :meth:`run` calls this itself.
-
-        On a started pool with a dead worker this starts over on fresh
-        workers and a fresh task queue: a worker killed while it read a
-        task can die holding the task queue's read lock, and then no
-        other worker could ever take a task again."""
-        if any(not proc.is_alive() for proc in self._procs.values()):
-            for proc in self._procs.values():
-                proc.terminate()
-            self.close()
-        if self._task_q is None:
-            self._task_q = self._ctx.Queue(maxsize=self.queue_bound + 1)
+        """Fork workers up to ``jobs`` and keep them across :meth:`run`
+        calls until :meth:`close`; :meth:`run` calls this itself.  A
+        worker that died since the last run is replaced on its own."""
+        for wid, proc in list(self._procs.items()):
+            if not proc.is_alive():
+                self._drop(wid)
         while len(self._procs) < self.jobs:
             self._spawn()
         return self
 
     def close(self) -> None:
         """Stop every worker; a later :meth:`run` forks fresh ones."""
-        if self._task_q is None:
-            return
-        procs, task_q, conns = self._procs, self._task_q, self._conns
-        self._procs, self._conns = {}, {}
-        self._task_q = None
-        # drain the task queue so sentinels are the next thing workers see
-        _discard_queued(task_q)
-        for _ in procs:
+        procs, tasks, conns = self._procs, self._tasks, self._conns
+        self._procs, self._tasks, self._conns = {}, {}, {}
+        self._idle.clear()
+        for conn in tasks.values():
             try:
-                task_q.put_nowait(None)
-            except stdlib_queue.Full:
-                break
+                conn.send(None)         # a busy worker ends its task first
+            except OSError:             # it has died already
+                pass
         deadline = time.monotonic() + 5.0
         for proc in procs.values():
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -292,9 +284,7 @@ class WorkerPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        task_q.cancel_join_thread()
-        task_q.close()
-        for conn in conns.values():
+        for conn in (*tasks.values(), *conns.values()):
             conn.close()
 
     def __enter__(self) -> "WorkerPool":
@@ -304,23 +294,36 @@ class WorkerPool:
         self.close()
 
     def _spawn(self) -> int:
-        """Fork one worker under the next id, with its own result pipe;
-        returns the id."""
+        """Fork one worker under the next id, with its own task and
+        result pipes; returns the id."""
         wid = self._next_wid
         self._next_wid += 1
+        task_reader, task_writer = self._ctx.Pipe(duplex=False)
         reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(wid, self.init_fn, self.init_args, self.work_fn,
-                  self._task_q, writer),
+                  task_reader, writer),
             daemon=True,
         )
         proc.start()
-        # only the worker may hold the write end, so its death is EOF
+        # only the worker may hold these ends, so its death is EOF on
+        # its result pipe and a broken pipe on its task pipe
+        task_reader.close()
         writer.close()
         self._procs[wid] = proc
+        self._tasks[wid] = task_writer
         self._conns[wid] = reader
         return wid
+
+    def _drop(self, wid: int) -> None:
+        """Forget a dead or terminated worker and close its pipes."""
+        self._procs.pop(wid, None)
+        for conn in (self._tasks.pop(wid, None), self._conns.pop(wid, None)):
+            if conn is not None:
+                conn.close()
+        if wid in self._idle:
+            self._idle.remove(wid)
 
     # -- the run loop --------------------------------------------------------
 
@@ -341,13 +344,13 @@ class WorkerPool:
         ``failures`` when the pool has none).
 
         ``tasks`` arrive pre-ordered by the caller's dispatch policy
-        (:func:`repro.sched.predict.order_tasks`); the pool preserves
-        that order for fresh work.  ``predictions`` (task id →
-        ``(value, provenance)``) decorate ``TaskFinished`` events so
-        predicted-vs-actual error is observable.  ``on_drain`` fires
-        once per drain cycle — when every result pipe goes momentarily
-        quiet — and is the journal's group-commit hook.  ``emit``
-        receives the run's events.
+        (:func:`repro.sched.predict.order_tasks`); the pool hands fresh
+        work to idle workers in exactly that order.  ``predictions``
+        (task id → ``(value, provenance)``) decorate ``TaskFinished``
+        events so predicted-vs-actual error is observable.  ``on_drain``
+        fires once per drain cycle — when every result pipe goes
+        momentarily quiet — and is the journal's group-commit hook.
+        ``emit`` receives the run's events.
 
         A run with work starts the pool (:meth:`start`) if it is not
         running; the workers outlive the run.  Any exception out of the
@@ -378,50 +381,41 @@ class WorkerPool:
         results: Dict[str, dict] = {}
         failures: Dict[str, str] = {}
 
-        task_q, conns, procs = self._task_q, self._conns, self._procs
+        tasks, conns, procs, idle = \
+            self._tasks, self._conns, self._procs, self._idle
         pending = deque(payloads)         # fresh work, dispatch order
         retries: deque = deque()          # requeues: strictly behind fresh
-        outstanding: set = set()          # dispatched, not yet finished
-        #: worker → (task, deadline); the task may be a late copy from an
-        #: earlier run, which still holds its worker until it finishes
+        #: worker → (the task it holds, deadline)
         running: Dict[int, Tuple[str, float]] = {}
         attempts: Dict[str, int] = {tid: 0 for tid in payloads}  # dispatches
         fails: Dict[str, int] = {tid: 0 for tid in payloads}
-        ledger = HealthLedger(self.guard.poison_threshold)
+        ledger = HealthLedger()
         crashes = 0
-        last_message = time.monotonic()
 
         def finished() -> int:
             return len(results) + len(failures)
 
-        def settled(tid: str) -> bool:
-            return tid in results or tid in failures
-
-        def dispatch(tid: str) -> bool:
-            try:
-                task_q.put_nowait((tid, attempts[tid], payloads[tid]))
-            except stdlib_queue.Full:
-                return False
-            attempts[tid] += 1
-            outstanding.add(tid)
-            return True
-
-        def fill_queue() -> None:
-            while len(outstanding) < self.queue_bound:
+        def feed() -> None:
+            """Hand each idle worker the next task, fresh work first."""
+            while idle and (pending or retries):
                 source = pending if pending else retries
-                if not source:
-                    return
-                tid = source[0]
-                if settled(tid):
-                    source.popleft()
+                tid = source.popleft()
+                wid = idle.popleft()
+                try:
+                    tasks[wid].send((tid, attempts[tid], payloads[tid]))
+                except OSError:         # BrokenPipeError: it died idle
+                    source.appendleft(tid)      # not an attempt
+                    bury(wid, "worker died while idle")
                     continue
-                if not dispatch(tid):
-                    return              # queue full: keep position
-                source.popleft()
+                attempts[tid] += 1
+                running[wid] = (tid, time.monotonic()
+                                + (self.task_timeout or float("inf")))
+                emit(TaskStarted(task_id=tid,
+                                 kind=payloads[tid].get("kind", ""),
+                                 worker=wid))
 
         def record_failure(tid: str, detail: str) -> None:
             failures[tid] = detail
-            outstanding.discard(tid)
             emit(TaskFinished(
                 task_id=tid, kind=payloads[tid].get("kind", ""),
                 source=SOURCE_FAILED, status="system_error", worker=-1,
@@ -435,7 +429,6 @@ class WorkerPool:
                 return
             payload = self.quarantine(payloads[tid].get("kind", ""), detail)
             results[tid] = payload
-            outstanding.discard(tid)
             if on_result is not None:
                 on_result(tid, payload)
             emit(TaskFinished(
@@ -446,28 +439,35 @@ class WorkerPool:
 
         def copy_failed(tid: str, detail: str) -> None:
             """One dispatch of ``tid`` definitively failed."""
-            if settled(tid):
-                return
             fails[tid] += 1
-            outstanding.discard(tid)
             if fails[tid] <= self.max_retries:
                 retries.append(tid)
             else:
                 record_failure(tid, detail)
 
-        def on_worker_death(wid: int, detail: str,
-                            kind: str = "crash") -> None:
+        def bury(wid: int, detail: str, kind: str = "crash") -> None:
+            """Settle a dead or terminated worker: what it reported
+            before it died counts first, then its death."""
             nonlocal crashes
+            messages = _drain(conns, wid)
+            untaken = _unread(tasks[wid])
+            self._drop(wid)
+            for message in messages:
+                handle(message)
             crashes += 1
             entry = running.pop(wid, None)
-            tid = entry[0] if entry is not None and entry[0] in payloads \
-                else None
+            tid = entry[0] if entry is not None else None
+            if tid is not None and untaken:
+                # handed off but never read: back to the head of its
+                # queue, and not an attempt
+                attempts[tid] -= 1
+                (retries if fails[tid] else pending).appendleft(tid)
+                tid = None
             emit(WorkerCrashed(worker=wid, task_id=tid, detail=detail,
                                kind=kind))
-            procs.pop(wid, None)
-            if tid is not None and not settled(tid):
+            if tid is not None:
                 verdict = ledger.record_death(tid, wid, kind, detail)
-                if verdict == VERDICT_POISON and self.guard.quarantine:
+                if verdict == VERDICT_POISON:
                     record_quarantine(tid, detail)
                 else:
                     copy_failed(tid, detail)
@@ -479,8 +479,7 @@ class WorkerPool:
             emit(ProgressSnapshot(
                 done=finished() + progress_base,
                 total=progress_total,
-                queue_depth=len(outstanding), busy_workers=len(running),
-                workers=len(procs)))
+                busy_workers=len(running), workers=len(procs)))
 
         def handle(message: tuple) -> None:
             kind, wid, tid, body, duration = message
@@ -489,61 +488,53 @@ class WorkerPool:
                 # configuration problem, not a task fault
                 raise RuntimeError(
                     f"scheduler worker failed to initialise: {body}")
-            if kind == "start":
-                deadline = (time.monotonic()
-                            + (self.task_timeout or float("inf")))
-                running[wid] = (tid, deadline)
-                if tid in payloads:
-                    emit(TaskStarted(
-                        task_id=tid,
-                        kind=payloads[tid].get("kind", ""), worker=wid))
+            if kind == "ready":
+                if wid in procs:
+                    idle.append(wid)
                 return
-            if kind not in ("done", "fail"):
-                return
-            running.pop(wid, None)
-            if tid not in payloads or settled(tid):
-                return      # an earlier run's task, or a swept orphan
+            entry = running.get(wid)
+            if kind not in ("done", "fail") or entry is None \
+                    or entry[0] != tid:
+                return      # names no task its worker holds: stale
+            del running[wid]
+            if wid in procs:            # not a worker being buried
+                idle.append(wid)
+            if kind == "done" and inject.ACTIVE is not None \
+                    and inject.ACTIVE.fire("sched.result.corrupt",
+                                           tid) is not None:
+                body = {"__corrupted__": True}
+            if kind == "done" and self.validate is not None \
+                    and not self.validate(payloads[tid], body):
+                kind, body = "fail", ("result payload failed validation "
+                                      "(corrupted on the result channel)")
             if kind == "fail":
                 copy_failed(tid, body)
-                snapshot()
-                return
-            if inject.ACTIVE is not None and inject.ACTIVE.fire(
-                    "sched.result.corrupt", tid) is not None:
-                body = {"__corrupted__": True}
-            if self.validate is not None \
-                    and not self.validate(payloads[tid], body):
-                copy_failed(
-                    tid, "result payload failed validation "
-                         "(corrupted on the result channel)")
-                snapshot()
-                return
-            outstanding.discard(tid)
-            results[tid] = body
-            if on_result is not None:
-                on_result(tid, body)
-            predicted, pred_source = preds.get(tid, (0.0, ""))
-            emit(TaskFinished(
-                task_id=tid,
-                kind=payloads[tid].get("kind", ""),
-                source=SOURCE_EXECUTED,
-                status=str((body or {}).get("status", "")),
-                worker=wid, duration=duration,
-                attempts=attempts[tid],
-                diagnostics=len(
-                    (body or {}).get("diagnostics") or ()),
-                counters=payload_counters(body),
-                predicted=predicted,
-                predicted_source=pred_source))
+            # the freed worker starts its next task before the parent
+            # spends time on this result
+            feed()
+            if kind == "done":
+                results[tid] = body
+                if on_result is not None:
+                    on_result(tid, body)
+                predicted, pred_source = preds.get(tid, (0.0, ""))
+                emit(TaskFinished(
+                    task_id=tid,
+                    kind=payloads[tid].get("kind", ""),
+                    source=SOURCE_EXECUTED,
+                    status=str((body or {}).get("status", "")),
+                    worker=wid, duration=duration,
+                    attempts=attempts[tid],
+                    diagnostics=len(
+                        (body or {}).get("diagnostics") or ()),
+                    counters=payload_counters(body),
+                    predicted=predicted,
+                    predicted_source=pred_source))
             snapshot()
 
-        while True:
-            fill_queue()
-            if finished() >= total:
-                break
+        while finished() < total:
+            feed()
             messages = _receive(conns, _POLL)
-            now = time.monotonic()
             if messages:
-                last_message = now
                 for message in messages:
                     handle(message)
                 continue
@@ -553,52 +544,30 @@ class WorkerPool:
             # and task deadlines
             if on_drain is not None:
                 on_drain()
-            for wid in list(procs):
-                proc = procs[wid]
-                if not proc.is_alive():
-                    # what it reported before it died counts first
-                    for message in _drain(conns, wid):
-                        handle(message)
-                    on_worker_death(
-                        wid, f"worker exited with code {proc.exitcode}")
+            now = time.monotonic()
+            for wid, proc in list(procs.items()):
+                # a hand-off inside an earlier bury() may have buried it
+                if wid in procs and not proc.is_alive():
+                    bury(wid, f"worker exited with code {proc.exitcode}")
             for wid, (tid, deadline) in list(running.items()):
                 if now > deadline:
-                    proc = procs.get(wid)
-                    if proc is not None:
-                        proc.terminate()
-                        proc.join(timeout=5.0)
-                    on_worker_death(
-                        wid, f"task exceeded {self.task_timeout:.0f}s "
-                             "wall-clock timeout (infrastructure, "
-                             "unlike a fuel-budget sample timeout)",
-                        kind="timeout")
+                    procs[wid].terminate()
+                    procs[wid].join(timeout=5.0)
+                    bury(wid, f"task exceeded {self.task_timeout:.0f}s "
+                              "wall-clock timeout (infrastructure, "
+                              "unlike a fuel-budget sample timeout)",
+                         kind="timeout")
             if crashes > self.max_crashes:
-                for tid in list(outstanding) + list(pending) \
-                        + list(retries):
-                    if not settled(tid):
-                        record_failure(
-                            tid, "worker crash budget exhausted")
+                for tid in [tid for tid, _ in running.values()] \
+                        + list(pending) + list(retries):
+                    record_failure(tid, "worker crash budget exhausted")
                 pending.clear()
                 retries.clear()
+                # no task may outlive its run on a worker
+                for wid in list(running):
+                    procs[wid].terminate()
+                    procs[wid].join(timeout=5.0)
+                    self._drop(wid)
+                running.clear()
                 break
-            # orphan sweep: tasks dispatched to a worker that died
-            # between dequeue and its "start" message
-            if (outstanding and not running
-                    and now - last_message > _STALL_SWEEP
-                    and task_q.empty()):
-                for tid in list(outstanding):
-                    outstanding.discard(tid)
-                    if not settled(tid):
-                        retries.append(tid)
-                last_message = now
-        _discard_queued(task_q)         # leftovers of this run
         return results, failures
-
-
-def _discard_queued(task_q) -> None:
-    """Drop every task still queued (not yet taken by a worker)."""
-    try:
-        while True:
-            task_q.get_nowait()
-    except (stdlib_queue.Empty, OSError):
-        pass

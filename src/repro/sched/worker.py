@@ -5,8 +5,8 @@
 caller's bench.  Both functions are module-level so they can cross a
 process boundary by reference.  Each worker builds the full
 :class:`PCGBench` once and looks prompts up by uid — prompt/problem
-objects carry numpy closures and never travel through the task queue;
-only strings do.
+objects carry numpy closures and never travel through a worker's task
+pipe; only strings do.
 """
 
 from __future__ import annotations

@@ -1,9 +1,6 @@
 """HealthLedger classification: transient deaths vs poison tasks."""
 
-import dataclasses
-
 from repro.guard import (
-    GuardPolicy,
     HealthLedger,
     VERDICT_POISON,
     VERDICT_TRANSIENT,
@@ -81,15 +78,3 @@ class TestFingerprint:
         b.record_death("t", 1, "crash", "x")
         assert a.fingerprint("t") == b.fingerprint("t")
         assert "crash,timeout" in a.fingerprint("t")
-
-
-class TestPolicy:
-    def test_defaults(self):
-        assert GuardPolicy().quarantine is True
-        assert GuardPolicy().poison_threshold == 2
-
-    def test_policy_is_frozen(self):
-        import pytest
-
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            GuardPolicy().quarantine = False

@@ -3,7 +3,7 @@ tasks."""
 
 import os
 
-from repro.guard import GuardPolicy
+from repro.guard import POISON_THRESHOLD
 from repro.sched import SOURCE_QUARANTINED, Telemetry, WorkerPool
 from repro.sched.events import TaskFinished
 
@@ -50,28 +50,17 @@ class TestQuarantine:
         assert [e.source for e in finished] == [SOURCE_QUARANTINED]
 
     def test_quarantine_spends_exactly_threshold_workers(self):
-        """The ledger pulls the task after ``poison_threshold`` distinct
+        """The ledger pulls the task after ``POISON_THRESHOLD`` distinct
         worker deaths — the retry budget never burns further workers."""
         tel = Telemetry()
         with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
                         init_args=("t",), max_retries=10,
-                        guard=GuardPolicy(poison_threshold=3),
                         quarantine=_quarantine) as pool:
             results, _ = pool.run([("doom", {"kind": "sample",
                                              "action": "crash"})],
                                   emit=tel)
         assert results["doom"]["status"] == "quarantined"
-        assert tel.crashes == 3
-
-    def test_quarantine_off_burns_the_retry_budget(self):
-        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                        init_args=("t",), max_retries=3,
-                        guard=GuardPolicy(quarantine=False),
-                        quarantine=_quarantine) as pool:
-            results, failures = pool.run([("doom", {"kind": "sample",
-                                                    "action": "crash"})])
-        assert results == {}
-        assert "doom" in failures
+        assert tel.crashes == POISON_THRESHOLD == 2
 
     def test_no_factory_fails_fast_with_poison_detail(self):
         """Without a payload factory the task still short-circuits into

@@ -11,7 +11,8 @@ import pytest
 
 from repro.faults import FaultPlan, FaultRule, injector
 from repro.sched import SOURCE_FAILED, Telemetry, WorkerPool
-from repro.sched.events import WorkerCrashed, WorkerReplaced
+from repro.sched.events import (TaskFinished, TaskStarted, WorkerCrashed,
+                                 WorkerReplaced)
 
 
 def _init(tag):
@@ -120,7 +121,7 @@ class TestFaults:
 
         marker = tmp_path / "busy.pid"
         pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
-                          init_args=("t",), queue_bound=1)
+                          init_args=("t",))
         tasks = [("long", {"kind": "sample", "action": "mark_then_sleep",
                            "marker": str(marker), "s": 1.5}),
                  ("after", {"kind": "sample", "action": "ok", "v": 5})]
@@ -198,6 +199,94 @@ class TestFaults:
         assert out["failures"] == {}
         assert out["results"]["victim"] == {"v": "recovered"}
         assert out["results"]["ok5"] == {"v": 10}
+
+    def test_worker_dead_on_the_task_channel_does_not_stall_the_run(
+            self, tmp_path, monkeypatch):
+        """A worker killed while it held its task channel's read lock
+        must not keep any other worker from taking a task.  The victim
+        takes the channel's read lock, where the channel has one, and
+        exits; every other task finishes only after that.  The run must
+        still finish, whole and on time."""
+        import threading
+
+        from repro.sched import pool as pool_mod
+
+        real_main = pool_mod._worker_main
+        marker = tmp_path / "died"
+
+        def dying_main(wid, init_fn, init_args, work_fn, task_q, channel):
+            def work(ctx, payload):
+                if payload["action"] == "die_on_task_channel" \
+                        and not marker.exists():
+                    lock = getattr(task_q, "_rlock", None)
+                    if lock is not None:
+                        lock.acquire()
+                    marker.write_text("died here")
+                    os._exit(13)
+                if payload["action"] == "die_on_task_channel":
+                    return {"v": "recovered"}
+                return work_fn(ctx, payload)
+            real_main(wid, init_fn, init_args, work, task_q, channel)
+
+        monkeypatch.setattr(pool_mod, "_worker_main", dying_main)
+        pool = WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                          init_args=("t",), task_timeout=3.0,
+                          max_retries=2, max_crashes=3)
+        tasks = [("victim", {"kind": "sample",
+                             "action": "die_on_task_channel"})]
+        tasks += [(f"ok{i}", {"kind": "sample", "action": "after_marker",
+                              "marker": str(marker), "v": i})
+                  for i in range(6)]
+        out = {}
+        runner = threading.Thread(
+            target=lambda: out.update(zip(("results", "failures"),
+                                          pool.run(tasks))),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        stalled = runner.is_alive()
+        deadline = time.monotonic() + 60.0
+        while runner.is_alive() and time.monotonic() < deadline:
+            for proc in list(pool._procs.values()):
+                proc.terminate()    # spend the crash budget to end it
+            runner.join(timeout=0.5)
+        pool.close()
+        assert not stalled, "run stalled behind a worker dead on the task " \
+            "channel"
+        assert out["failures"] == {}
+        assert out["results"]["victim"] == {"v": "recovered"}
+        assert out["results"]["ok5"] == {"v": 10}
+
+    def test_a_hand_off_to_a_dead_worker_is_not_an_attempt(self):
+        """A worker that died idle, unseen, fails the hand-off of its
+        next task: that is its death, and the task goes back to the head
+        of the queue without being charged an attempt."""
+        tel = Telemetry()
+        tel.keep_events = True
+        pool = WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
+                          init_args=("t",), max_retries=0)
+        try:
+            pool.run(_pid_tasks(1, "a"))
+            [victim] = pool._procs.values()
+            real_start = pool.start
+
+            def start_then_kill():
+                real_start()
+                victim.kill()           # after start() looked for the dead
+                victim.join(timeout=10.0)
+                return pool
+
+            pool.start = start_then_kill
+            results, failures = pool.run(_ok_tasks(2), emit=tel)
+        finally:
+            pool.close()
+        assert failures == {}
+        assert results == {"ok0": {"v": 0}, "ok1": {"v": 2}}
+        assert tel.crashes == 1
+        assert [e.task_id for e in tel.events
+                if isinstance(e, WorkerCrashed)] == [None]
+        assert [e.attempts for e in tel.events
+                if isinstance(e, TaskFinished)] == [1, 1]
 
     def test_a_report_written_before_death_still_counts(self, tmp_path,
                                                          monkeypatch):
@@ -330,8 +419,7 @@ class TestRetryOrdering:
                  ("a", {"kind": "sample", "action": "ok", "v": 1}),
                  ("b", {"kind": "sample", "action": "ok", "v": 2})]
         with WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
-                        init_args=("t",), max_retries=2,
-                        queue_bound=1) as pool:
+                        init_args=("t",), max_retries=2) as pool:
             results, failures = pool.run(
                 tasks, on_result=lambda tid, res: order.append(tid))
         assert failures == {}
@@ -347,14 +435,26 @@ class TestRetryOrdering:
                 + [(f"fresh{i}", {"kind": "sample", "action": "ok",
                                   "v": i}) for i in range(4)]
             with WorkerPool(jobs=1, work_fn=_work, init_fn=_init,
-                            init_args=("t",), max_retries=2,
-                            queue_bound=1) as pool:
+                            init_args=("t",), max_retries=2) as pool:
                 pool.run(tasks,
                          on_result=lambda tid, res: order.append(tid))
             return order
 
         assert drive("one") == drive("two") \
             == [f"fresh{i}" for i in range(4)] + ["flaky"]
+
+
+class TestDispatchOrder:
+    def test_fresh_tasks_start_in_the_order_given(self):
+        tel = Telemetry()
+        tel.keep_events = True
+        tasks = _ok_tasks(12)[::-1]
+        with WorkerPool(jobs=2, work_fn=_work, init_fn=_init,
+                        init_args=("t",)) as pool:
+            results, failures = pool.run(tasks, emit=tel)
+        assert failures == {} and len(results) == 12
+        assert [e.task_id for e in tel.events
+                if isinstance(e, TaskStarted)] == [tid for tid, _ in tasks]
 
 
 class TestInjectedSchedFaults:
